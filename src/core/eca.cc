@@ -80,7 +80,7 @@ void EcaWarehouse::HandleEcaAnswer(EcaQueryAnswer answer) {
                   "answer does not match the outstanding ECA query");
 
   // Accumulate the finished view delta in the action list.
-  pending_delta_.Merge(view_def().FinishFullSpan(answer.result));
+  pending_delta_.Merge(view_def().FinishFullSpan(std::move(answer.result)));
   pending_ids_.push_back(active_->update_id);
 
   // Contamination propagation: every update still queued now was, by
@@ -103,7 +103,7 @@ void EcaWarehouse::HandleEcaAnswer(EcaQueryAnswer answer) {
 void EcaWarehouse::TryInstall() {
   if (active_.has_value() || !mutable_queue().empty()) return;
   if (pending_ids_.empty()) return;
-  InstallViewDelta(pending_delta_, std::move(pending_ids_));
+  InstallViewDelta(std::move(pending_delta_), std::move(pending_ids_));
   pending_delta_ = Relation(view_def().view_schema());
   pending_ids_.clear();
   ++batch_installs_;

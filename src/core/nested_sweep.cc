@@ -54,9 +54,12 @@ void NestedSweepWarehouse::Advance() {
     return;
   }
 
-  frame.temp = frame.dv;
+  // As in SWEEP: `dv` is dead while the query is in flight, so the
+  // pre-send partial lives only in `temp` and the query payload.
+  frame.temp = std::move(frame.dv);
+  frame.dv = PartialDelta();
   frame.outstanding_query = SendSweepQuery(
-      frame.j, /*extend_left=*/frame.left_phase, frame.dv);
+      frame.j, /*extend_left=*/frame.left_phase, frame.temp);
 }
 
 void NestedSweepWarehouse::HandleQueryAnswer(QueryAnswer answer) {
@@ -142,8 +145,8 @@ void NestedSweepWarehouse::CompleteTopFrame() {
 
   if (stack_.empty()) {
     SWEEP_CHECK(done.dv.SpansAll(view_def()));
-    Relation view_delta = view_def().FinishFullSpan(done.dv.rel);
-    InstallViewDelta(view_delta, std::move(batch_ids_));
+    InstallViewDelta(view_def().FinishFullSpan(std::move(done.dv.rel)),
+                     std::move(batch_ids_));
     batch_ids_.clear();
     MaybeStartNext();
     return;
@@ -153,7 +156,7 @@ void NestedSweepWarehouse::CompleteTopFrame() {
   // same relation range by construction.
   Frame& parent = stack_.back();
   SWEEP_CHECK(done.dv.lo == parent.dv.lo && done.dv.hi == parent.dv.hi);
-  parent.dv.rel.Merge(done.dv.rel);
+  parent.dv.rel.Merge(std::move(done.dv.rel));
   Advance();
 }
 

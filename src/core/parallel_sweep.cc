@@ -41,16 +41,17 @@ void ParallelSweepWarehouse::MaybeStartNext() {
   const bool has_left = i > 0;
   const bool has_right = i < n - 1;
 
-  sweep.left.extend_left = true;
-  sweep.left.dv = PartialDelta::ForRelation(view_def(), i, update.delta);
-  sweep.left.j = i - 1;
-  sweep.left.done = !has_left;
-
   sweep.right.extend_left = false;
   sweep.right.dv = PartialDelta::ForRelation(
-      view_def(), i, has_left ? abs_seed : update.delta);
+      view_def(), i, has_left ? std::move(abs_seed) : update.delta);
   sweep.right.j = i + 1;
   sweep.right.done = !has_right;
+
+  sweep.left.extend_left = true;
+  sweep.left.dv =
+      PartialDelta::ForRelation(view_def(), i, std::move(update.delta));
+  sweep.left.j = i - 1;
+  sweep.left.done = !has_left;
 
   active_ = std::move(sweep);
   if (has_left) AdvanceSide(active_->left);
@@ -65,9 +66,12 @@ void ParallelSweepWarehouse::AdvanceSide(Side& side) {
     side.done = true;
     return;
   }
-  side.temp = side.dv;
+  // As in SWEEP: `dv` is dead while the query is in flight, so the
+  // pre-send partial lives only in `temp` and the query payload.
+  side.temp = std::move(side.dv);
+  side.dv = PartialDelta();
   side.outstanding_query =
-      SendSweepQuery(side.j, side.extend_left, side.dv);
+      SendSweepQuery(side.j, side.extend_left, side.temp);
 }
 
 void ParallelSweepWarehouse::HandleQueryAnswer(QueryAnswer answer) {
@@ -116,7 +120,7 @@ void ParallelSweepWarehouse::MaybeFinish() {
                                active_->right.dv);
   }
   SWEEP_CHECK(full.SpansAll(view_def()));
-  InstallViewDelta(view_def().FinishFullSpan(full.rel),
+  InstallViewDelta(view_def().FinishFullSpan(std::move(full.rel)),
                    {active_->update_id});
   active_.reset();
   MaybeStartNext();

@@ -55,13 +55,15 @@ void PipelinedSweepWarehouse::Advance(Sweep& sweep) {
   }
   if (!sweep.left_phase && sweep.j >= view_def().num_relations()) {
     SWEEP_CHECK(sweep.dv.SpansAll(view_def()));
-    sweep.final_delta = view_def().FinishFullSpan(sweep.dv.rel);
     sweep.complete = true;
     return;
   }
-  sweep.temp = sweep.dv;
+  // As in SWEEP: `dv` is dead while the query is in flight, so the
+  // pre-send partial lives only in `temp` and the query payload.
+  sweep.temp = std::move(sweep.dv);
+  sweep.dv = PartialDelta();
   sweep.outstanding_query =
-      SendSweepQuery(sweep.j, /*extend_left=*/sweep.left_phase, sweep.dv);
+      SendSweepQuery(sweep.j, /*extend_left=*/sweep.left_phase, sweep.temp);
 }
 
 Relation PipelinedSweepWarehouse::InterferingDelta(int rel,
@@ -130,7 +132,8 @@ void PipelinedSweepWarehouse::TryInstallInOrder() {
   while (!inflight_.empty() && inflight_.front().complete) {
     Sweep done = std::move(inflight_.front());
     inflight_.pop_front();
-    InstallViewDelta(done.final_delta, {done.update_id});
+    InstallViewDelta(view_def().FinishFullSpan(std::move(done.dv.rel)),
+                     {done.update_id});
   }
 }
 
@@ -188,7 +191,6 @@ void PipelinedSweepWarehouse::SerializeAlgState(CheckpointWriter& w) const {
     w.WriteI32(sweep.j);
     w.WriteI64(sweep.outstanding_query);
     w.WriteBool(sweep.complete);
-    w.WriteRelation(sweep.final_delta);
   }
   w.WriteI64(compensations_);
   w.WriteI32(max_observed_inflight_);
@@ -215,7 +217,6 @@ void PipelinedSweepWarehouse::DeserializeAlgState(CheckpointReader& r) {
     sweep.j = r.ReadI32();
     sweep.outstanding_query = r.ReadI64();
     sweep.complete = r.ReadBool();
-    sweep.final_delta = r.ReadRelation();
     inflight_.push_back(std::move(sweep));
   }
   compensations_ = r.ReadI64();

@@ -64,13 +64,12 @@ class PipelinedSweepWarehouse : public Warehouse {
     size_t arrival_index = 0;
     int64_t update_id = -1;
     int update_source = -1;
-    PartialDelta dv;
+    PartialDelta dv;  // holds the full span from completion to install
     PartialDelta temp;
     bool left_phase = true;
     int j = -1;
     int64_t outstanding_query = -1;
     bool complete = false;
-    Relation final_delta;  // view-schema delta, once complete
 
     bool operator==(const Sweep&) const = default;
   };

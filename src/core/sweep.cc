@@ -107,8 +107,8 @@ void SweepWarehouse::Finish() {
   SWEEP_CHECK(active_.has_value());
   ActiveSweep& sweep = *active_;
   SWEEP_CHECK(sweep.dv.SpansAll(view_def()));
-  Relation view_delta = view_def().FinishFullSpan(sweep.dv.rel);
-  InstallViewDelta(view_delta, {sweep.update_id});
+  InstallViewDelta(view_def().FinishFullSpan(std::move(sweep.dv.rel)),
+                   {sweep.update_id});
   active_.reset();
   MaybeStartNext();
 }

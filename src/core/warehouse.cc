@@ -217,14 +217,14 @@ void Warehouse::AcceptUpdate(UpdateMessage update) {
 }
 
 void Warehouse::RegisterQuery(int64_t query_id, int target_site,
-                              const Message& request, int expected_answers) {
+                              Message request, int expected_answers) {
   PendingQuery pending;
   pending.target_site = target_site;
   pending.expected_answers = expected_answers;
   // The request copy feeds timeout re-issue, recovery's re-issue of
   // restored in-flight queries, and the checkpoint serializer (which is
   // public API and must work regardless of the options in force).
-  pending.request = request;
+  pending.request = std::move(request);
   pending_queries_.emplace(query_id, std::move(pending));
   if (max_query_attempts_ < 1) max_query_attempts_ = 1;
   if (options_.query_timeout > 0) ArmQueryTimer(query_id);
@@ -673,12 +673,8 @@ int64_t Warehouse::SendSweepQuery(int target_rel, bool extend_left,
                                   PartialDelta partial) {
   int64_t id = NextQueryId();
   ++queries_sent_;
-  QueryRequest request;
-  request.query_id = id;
-  request.target_rel = target_rel;
-  request.extend_left = extend_left;
-  request.epoch = epoch_;
-  request.partial = std::move(partial);
+  Message request(
+      QueryRequest{id, target_rel, extend_left, std::move(partial), epoch_});
   RegisterQuery(id, source_site(target_rel), request);
   network_->Send(site_id_, source_site(target_rel), std::move(request));
   return id;
@@ -687,7 +683,7 @@ int64_t Warehouse::SendSweepQuery(int target_rel, bool extend_left,
 int64_t Warehouse::SendEcaQuery(std::vector<EcaTerm> terms) {
   int64_t id = NextQueryId();
   ++queries_sent_;
-  EcaQueryRequest request{id, std::move(terms), epoch_};
+  Message request(EcaQueryRequest{id, std::move(terms), epoch_});
   RegisterQuery(id, source_site(0), request);
   network_->Send(site_id_, source_site(0), std::move(request));
   return id;
@@ -709,16 +705,16 @@ int64_t Warehouse::SendSnapshotRequest(int target_rel) {
   return id;
 }
 
-void Warehouse::InstallViewDelta(const Relation& view_delta,
+void Warehouse::InstallViewDelta(Relation view_delta,
                                  std::vector<int64_t> update_ids) {
-  view_.Merge(view_delta);
-  SWEEP_LOG(Debug) << name() << " installed delta "
-                   << view_delta.ToDisplayString() << " -> "
-                   << view_.ToDisplayString();
+  SWEEP_LOG(Debug) << name() << " installing delta "
+                   << view_delta.ToDisplayString();
   // sweeplint:allow effect-bounds observer_ is wiring-time instrumentation
   // (sharded-view fragment sums, bench taps); controlled explorations
   // never install one, and the dynamic oracle enforces that.
   if (observer_) observer_(view_delta, update_ids);
+  view_.Merge(std::move(view_delta));
+  SWEEP_LOG(Debug) << name() << " view now " << view_.ToDisplayString();
   RecordInstall(std::move(update_ids));
 }
 

@@ -267,8 +267,10 @@ class Warehouse : public Site {
 
  private:
   // Bookkeeping for idempotent query re-issue: remembers the request and
-  // its target site until the answer arrives. The request copy is only
-  // kept when timeouts are enabled. Snapshot requests to a multi-relation
+  // its target site until the answer arrives. The request copy is always
+  // kept, whatever the options: timeout re-issue, recovery's re-issue of
+  // restored in-flight queries, SerializeCheckpoint and the explorer's
+  // state fingerprint all read it. Snapshot requests to a multi-relation
   // site are answered by several SnapshotAnswers sharing the query id
   // (one per hosted relation); such a query stays pending until every
   // expected relation has answered, and `relations_seen` detects
@@ -399,9 +401,9 @@ class Warehouse : public Site {
   int64_t SendSnapshotRequest(int target_rel);
 
   // Merges `view_delta` (over the view's output schema) into the
-  // materialized view and logs the transition.
-  void InstallViewDelta(const Relation& view_delta,
-                        std::vector<int64_t> update_ids);
+  // materialized view and logs the transition. The delta's entries are
+  // spliced into the view, so callers move their finished delta in.
+  void InstallViewDelta(Relation view_delta, std::vector<int64_t> update_ids);
 
   // Replaces the view wholesale (recompute baseline) and logs.
   void InstallAbsoluteView(Relation new_view,
@@ -449,8 +451,10 @@ class Warehouse : public Site {
     return id;
   }
 
-  void RegisterQuery(int64_t query_id, int target_site,
-                     const Message& request, int expected_answers = 1);
+  // Stores `request` as the query's pending copy (the only one kept; the
+  // sender transmits its own).
+  void RegisterQuery(int64_t query_id, int target_site, Message request,
+                     int expected_answers = 1);
   // Removes the entry; false if the id is not outstanding (stale answer).
   bool ResolveQuery(int64_t query_id);
   // Consumes one relation's part of a multi-answer snapshot query; false

@@ -31,9 +31,6 @@ Relation Join(const Relation& left, const Relation& right,
               const std::vector<std::pair<int, int>>& keys) {
   Relation out(left.schema().Concat(right.schema()));
 
-  // Build a hash index over the smaller logical side: we always index the
-  // right input on its key columns, then probe with the left. Sizes here
-  // are simulation-scale, so the simple choice is fine.
   std::vector<int> left_key_pos;
   std::vector<int> right_key_pos;
   left_key_pos.reserve(keys.size());
@@ -54,19 +51,34 @@ Relation Join(const Relation& left, const Relation& right,
     return out;
   }
 
+  // Hash the smaller input on its key columns and probe with the other
+  // (SWEEP's compensation joins a one- or two-tuple ΔR_j against the whole
+  // TempView). Output tuples are left ++ right either way.
+  const bool build_left = left.DistinctSize() < right.DistinctSize();
+  const Relation& build = build_left ? left : right;
+  const Relation& probe = build_left ? right : left;
+  const std::vector<int>& build_key_pos =
+      build_left ? left_key_pos : right_key_pos;
+  const std::vector<int>& probe_key_pos =
+      build_left ? right_key_pos : left_key_pos;
+
   std::unordered_map<Tuple, std::vector<const std::pair<const Tuple, int64_t>*>,
                      TupleHash>
       index;
-  index.reserve(right.entries().size());
-  for (const auto& entry : right.entries()) {
-    index[entry.first.Project(right_key_pos)].push_back(&entry);
+  index.reserve(build.entries().size());
+  for (const auto& entry : build.entries()) {
+    index[entry.first.Project(build_key_pos)].push_back(&entry);
   }
 
-  for (const auto& [lt, lc] : left.entries()) {
-    auto it = index.find(lt.Project(left_key_pos));
+  for (const auto& [pt, pc] : probe.entries()) {
+    auto it = index.find(pt.Project(probe_key_pos));
     if (it == index.end()) continue;
     for (const auto* entry : it->second) {
-      out.Add(lt.Concat(entry->first), lc * entry->second);
+      if (build_left) {
+        out.Add(entry->first.Concat(pt), entry->second * pc);
+      } else {
+        out.Add(pt.Concat(entry->first), pc * entry->second);
+      }
     }
   }
   return out;

@@ -19,16 +19,22 @@ Relation Relation::OfInts(
   return r;
 }
 
-void Relation::Add(const Tuple& t, int64_t count) {
+template <typename T>
+void Relation::AddImpl(T&& t, int64_t count) {
   if (count == 0) return;
   SWEEP_CHECK_MSG(schema_.arity() == 0 || schema_.Matches(t),
                   "tuple does not match relation schema");
-  auto [it, inserted] = counts_.try_emplace(t, count);
+  // try_emplace moves from `t` only when it inserts.
+  auto [it, inserted] = counts_.try_emplace(std::forward<T>(t), count);
   if (!inserted) {
     it->second += count;
     if (it->second == 0) counts_.erase(it);
   }
 }
+
+void Relation::Add(const Tuple& t, int64_t count) { AddImpl(t, count); }
+
+void Relation::Add(Tuple&& t, int64_t count) { AddImpl(std::move(t), count); }
 
 int64_t Relation::CountOf(const Tuple& t) const {
   auto it = counts_.find(t);
@@ -56,6 +62,21 @@ bool Relation::HasNegative() const {
 
 void Relation::Merge(const Relation& other) {
   for (const auto& [t, c] : other.counts_) Add(t, c);
+}
+
+void Relation::Merge(Relation&& other) {
+  while (!other.counts_.empty()) {
+    auto node = other.counts_.extract(other.counts_.begin());
+    SWEEP_CHECK_MSG(schema_.arity() == 0 || schema_.Matches(node.key()),
+                    "tuple does not match relation schema");
+    auto it = counts_.find(node.key());
+    if (it == counts_.end()) {
+      counts_.insert(std::move(node));
+      continue;
+    }
+    it->second += node.mapped();
+    if (it->second == 0) counts_.erase(it);
+  }
 }
 
 void Relation::MergeNegated(const Relation& other) {

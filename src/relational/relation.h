@@ -46,8 +46,10 @@ class Relation {
   const Schema& schema() const { return schema_; }
 
   // Adds `count` occurrences of `t` (negative to delete). Erases the entry
-  // if the resulting count is zero. The tuple must match the schema.
+  // if the resulting count is zero. The tuple must match the schema. The
+  // rvalue form moves a tuple absent from the relation into its new entry.
   void Add(const Tuple& t, int64_t count = 1);
+  void Add(Tuple&& t, int64_t count = 1);
 
   // Count of `t` (0 if absent).
   int64_t CountOf(const Tuple& t) const;
@@ -72,8 +74,10 @@ class Relation {
   bool HasNegative() const;
 
   // Adds every (tuple, count) of `other` into this relation. Schemas must
-  // agree on arity/types.
+  // agree on arity/types. The rvalue form splices `other`'s entries across
+  // (a tuple absent here costs no allocation) and leaves `other` empty.
   void Merge(const Relation& other);
+  void Merge(Relation&& other);
 
   // Subtracts: Merge with all of `other`'s counts negated.
   void MergeNegated(const Relation& other);
@@ -116,6 +120,9 @@ class Relation {
   std::string ToDisplayString() const;
 
  private:
+  template <typename T>
+  void AddImpl(T&& t, int64_t count);
+
   Schema schema_;
   CountMap counts_;
 };

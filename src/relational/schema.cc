@@ -36,8 +36,9 @@ Schema Schema::Concat(const Schema& other) const {
 
 bool Schema::Matches(const Tuple& t) const {
   if (t.arity() != attrs_.size()) return false;
+  const std::vector<Value>& values = t.values();
   for (size_t i = 0; i < attrs_.size(); ++i) {
-    if (t.at(i).type() != attrs_[i].type) return false;
+    if (values[i].type() != attrs_[i].type) return false;
   }
   return true;
 }

@@ -67,17 +67,18 @@ Relation ViewDef::EvaluateFull(
   for (int rel = 1; rel < num_relations(); ++rel) {
     acc = Join(acc, *rels[static_cast<size_t>(rel)], ExtendRightKeys(0, rel));
   }
-  return FinishFullSpan(acc);
+  return FinishFullSpan(std::move(acc));
 }
 
-Relation ViewDef::FinishFullSpan(const Relation& full_span) const {
+Relation ViewDef::FinishFullSpan(Relation full_span) const {
   SWEEP_CHECK_MSG(
       full_span.schema().arity() == joined_schema_.arity(),
       "FinishFullSpan requires a delta spanning every relation");
-  Relation selected =
-      selection_.IsTrueLiteral() ? full_span : sweepmv::Select(full_span,
-                                                               selection_);
-  return sweepmv::Project(selected, projection_);
+  if (!selection_.IsTrueLiteral()) {
+    full_span = sweepmv::Select(full_span, selection_);
+  }
+  if (identity_projection_) return full_span;
+  return sweepmv::Project(full_span, projection_);
 }
 
 std::string ViewDef::ToDisplayString() const {
@@ -153,15 +154,15 @@ ViewDef ViewDef::Builder::Build() {
   }
   view_.joined_schema_ = std::move(joined);
 
-  if (view_.projection_.empty()) {
-    view_.projection_.resize(view_.joined_schema_.arity());
-    std::iota(view_.projection_.begin(), view_.projection_.end(), 0);
-  }
+  std::vector<int> identity(view_.joined_schema_.arity());
+  std::iota(identity.begin(), identity.end(), 0);
+  if (view_.projection_.empty()) view_.projection_ = identity;
   for (int pos : view_.projection_) {
     SWEEP_CHECK_MSG(pos >= 0 && static_cast<size_t>(pos) <
                                     view_.joined_schema_.arity(),
                     "projection position outside the joined schema");
   }
+  view_.identity_projection_ = view_.projection_ == identity;
   std::vector<Attribute> view_attrs;
   for (int pos : view_.projection_) {
     view_attrs.push_back(view_.joined_schema_.attr(static_cast<size_t>(pos)));

@@ -74,8 +74,9 @@ class ViewDef {
   Relation EvaluateFull(const std::vector<const Relation*>& rels) const;
 
   // Applies the selection and projection to a relation over the joined
-  // schema (a delta that has been swept across every relation).
-  Relation FinishFullSpan(const Relation& full_span) const;
+  // schema (a delta that has been swept across every relation). A true
+  // selection and an identity projection return `full_span` itself.
+  Relation FinishFullSpan(Relation full_span) const;
 
   std::string ToDisplayString() const;
 
@@ -90,6 +91,9 @@ class ViewDef {
   Schema joined_schema_;
   Predicate selection_;
   std::vector<int> projection_;
+  // True when projection_ is 0..arity-1 of the joined schema (derived in
+  // Build()).
+  bool identity_projection_ = false;
   Schema view_schema_;
 };
 

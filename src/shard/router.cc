@@ -23,9 +23,11 @@ void ShardRouter::OnMessage(int from, Message msg) {
     ++updates_broadcast_;
     SWEEP_LOG(Debug) << "router broadcasts "
                      << update->update.ToDisplayString();
-    for (int shard : shard_sites_) {
-      network_->Send(site_id_, shard, UpdateMessage{update->update});
+    // Every shard but the last gets a copy; the last takes the message.
+    for (size_t i = 0; i + 1 < shard_sites_.size(); ++i) {
+      network_->Send(site_id_, shard_sites_[i], UpdateMessage{update->update});
     }
+    network_->Send(site_id_, shard_sites_.back(), std::move(msg));
     return;
   }
   if (auto* query = std::get_if<QueryRequest>(&msg)) {

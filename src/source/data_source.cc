@@ -77,22 +77,24 @@ int64_t DataSource::ApplyTransaction(const std::vector<UpdateOp>& ops) {
   if (delta.Empty()) return -1;
 
   store_.Merge(delta);
-  SWEEP_CHECK_MSG(!store_.relation().HasNegative(),
-                  "transaction deleted a tuple that was not present");
+  CheckDeltaApplied(store_.relation(), delta);
 
   Update update;
   update.id = ids_->Next();
   update.relation = relation_index_;
-  update.delta = delta;
+  update.delta = std::move(delta);
   update.applied_at = network_->simulator()->now();
-  log_.Append(update.id, delta, update.applied_at);
+  log_.Append(update.id, update.delta, update.applied_at);
 
   SWEEP_LOG(Trace) << "source R" << relation_index_ << " applied "
                    << update.ToDisplayString();
   int64_t id = update.id;
-  for (int warehouse : warehouse_sites_) {
-    network_->Send(site_id_, warehouse, UpdateMessage{update});
+  // Every warehouse but the last gets a copy; the last takes the update.
+  for (size_t i = 0; i + 1 < warehouse_sites_.size(); ++i) {
+    network_->Send(site_id_, warehouse_sites_[i], UpdateMessage{update});
   }
+  network_->Send(site_id_, warehouse_sites_.back(),
+                 UpdateMessage{std::move(update)});
   return id;
 }
 

@@ -56,8 +56,7 @@ int64_t EcaSource::ApplyTransaction(int relation_index,
 
   Relation& rel = relations_[static_cast<size_t>(relation_index)];
   rel.Merge(delta);
-  SWEEP_CHECK_MSG(!rel.HasNegative(),
-                  "transaction deleted a tuple that was not present");
+  CheckDeltaApplied(rel, delta);
 
   Update update;
   update.id = ids_->Next();

@@ -61,8 +61,7 @@ int64_t MultiRelationSource::ApplyTxn(int relation_index,
   if (delta.Empty()) return -1;
 
   hosted.store.Merge(delta);
-  SWEEP_CHECK_MSG(!hosted.store.relation().HasNegative(),
-                  "transaction deleted a tuple that was not present");
+  CheckDeltaApplied(hosted.store.relation(), delta);
 
   Update update;
   update.id = ids_->Next();

@@ -1,5 +1,6 @@
 #include "source/update.h"
 
+#include "common/check.h"
 #include "common/str.h"
 
 namespace sweepmv {
@@ -23,6 +24,13 @@ Relation OpsToDelta(const Schema& schema, const std::vector<UpdateOp>& ops) {
     delta.Add(op.tuple, op.kind == UpdateOp::Kind::kInsert ? 1 : -1);
   }
   return delta;
+}
+
+void CheckDeltaApplied(const Relation& base, const Relation& delta) {
+  for (const auto& [t, c] : delta.entries()) {
+    SWEEP_CHECK_MSG(c > 0 || base.CountOf(t) >= 0,
+                    "transaction deleted a tuple that was not present");
+  }
 }
 
 }  // namespace sweepmv

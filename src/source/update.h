@@ -66,6 +66,12 @@ struct Update {
 // of the same tuple inside one transaction).
 Relation OpsToDelta(const Schema& schema, const std::vector<UpdateOp>& ops);
 
+// Aborts if `base`, after merging `delta` into it, holds a negative count:
+// the transaction deleted a tuple that was not present. `base` had only
+// positive counts before, so only the tuples `delta` deletes need a look
+// (O(|delta|), not O(|base|)).
+void CheckDeltaApplied(const Relation& base, const Relation& delta);
+
 }  // namespace sweepmv
 
 #endif  // SWEEPMV_SOURCE_UPDATE_H_

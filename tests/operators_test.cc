@@ -107,6 +107,33 @@ TEST(OperatorsTest, JoinWithEmptyInput) {
   EXPECT_TRUE(Join(right, left, {{1, 0}}).Empty());
 }
 
+TEST(OperatorsTest, JoinKeepsColumnOrderWhicheverSideIsSmaller) {
+  // Join hashes the smaller input; the output is left ++ right either way
+  // and equals the filtered cross product.
+  Relation small(AB());
+  small.Add(IntTuple({2, 3}), -1);
+  Relation big = Relation::OfInts(CD(), {{3, 7}, {3, 5}, {4, 1}, {3, 7}});
+  for (bool small_left : {true, false}) {
+    const Relation& left = small_left ? small : big;
+    const Relation& right = small_left ? big : small;
+    const int left_key = small_left ? 1 : 0;
+    const int right_key = small_left ? 0 : 1;
+    Relation expected(left.schema().Concat(right.schema()));
+    const Relation cross = Join(left, right, {});
+    for (const auto& [t, c] : cross.entries()) {
+      if (t.at(static_cast<size_t>(left_key)) ==
+          t.at(left.schema().arity() + static_cast<size_t>(right_key))) {
+        expected.Add(t, c);
+      }
+    }
+    Relation out = Join(left, right, {{left_key, right_key}});
+    EXPECT_EQ(out, expected);
+    EXPECT_EQ(out.DistinctSize(), 2u);
+  }
+  EXPECT_EQ(Join(small, big, {{1, 0}}).CountOf(IntTuple({2, 3, 3, 7})), -2);
+  EXPECT_EQ(Join(big, small, {{0, 1}}).CountOf(IntTuple({3, 7, 2, 3})), -2);
+}
+
 TEST(OperatorsTest, UnionAndSubtract) {
   Relation a = Relation::OfInts(AB(), {{1, 1}});
   Relation b = Relation::OfInts(AB(), {{1, 1}, {2, 2}});

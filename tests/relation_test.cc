@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "common/rng.h"
+
 namespace sweepmv {
 namespace {
 
@@ -115,6 +119,63 @@ TEST(RelationTest, DisplayStringMatchesPaperStyle) {
   Relation r(TwoInts());
   r.Add(IntTuple({7, 8}), 2);
   EXPECT_EQ(r.ToDisplayString(), "{(7,8)[2]}");
+}
+
+// A signed bag over a small key domain, so merges hit existing tuples and
+// counts cancel to zero often.
+Relation RandomSignedBag(Rng& rng) {
+  Relation r(TwoInts());
+  const int64_t rows = rng.Uniform(0, 12);
+  for (int64_t i = 0; i < rows; ++i) {
+    r.Add(IntTuple({rng.Uniform(0, 3), rng.Uniform(0, 3)}),
+          rng.Uniform(-2, 2));
+  }
+  return r;
+}
+
+TEST(RelationTest, MoveMergeMatchesCopyMerge) {
+  Rng rng(20260101);
+  int cancelled = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    Relation target = RandomSignedBag(rng);
+    Relation source = RandomSignedBag(rng);
+    Relation by_copy = target;
+    by_copy.Merge(source);
+    Relation by_move = target;
+    by_move.Merge(Relation(source));
+    EXPECT_EQ(by_move, by_copy);
+    for (const auto& [t, c] : source.entries()) {
+      if (target.CountOf(t) == -c) ++cancelled;
+    }
+  }
+  EXPECT_GT(cancelled, 0) << "no trial exercised a count cancelling to zero";
+}
+
+TEST(RelationTest, MoveMergeLeavesSourceEmpty) {
+  Relation target = Relation::OfInts(TwoInts(), {{1, 1}, {2, 2}});
+  Relation source(TwoInts());
+  source.Add(IntTuple({1, 1}), -1);
+  source.Add(IntTuple({3, 3}), 4);
+  target.Merge(std::move(source));
+  EXPECT_TRUE(source.Empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(target.CountOf(IntTuple({1, 1})), 0);
+  EXPECT_EQ(target.CountOf(IntTuple({2, 2})), 1);
+  EXPECT_EQ(target.CountOf(IntTuple({3, 3})), 4);
+  EXPECT_EQ(target.DistinctSize(), 2u);
+}
+
+TEST(RelationTest, MoveAddMatchesCopyAdd) {
+  Rng rng(7);
+  Relation by_copy(TwoInts());
+  Relation by_move(TwoInts());
+  for (int i = 0; i < 2000; ++i) {
+    const Tuple t = IntTuple({rng.Uniform(0, 3), rng.Uniform(0, 3)});
+    const int64_t count = rng.Uniform(-2, 2);
+    by_copy.Add(t, count);
+    Tuple moved = t;
+    by_move.Add(std::move(moved), count);
+    ASSERT_EQ(by_move, by_copy) << "after op " << i;
+  }
 }
 
 TEST(RelationTest, PaperCompensationAlgebra) {

@@ -139,6 +139,60 @@ TEST(ViewDefTest, FinishFullSpanEqualsEvaluate) {
   EXPECT_EQ(v.FinishFullSpan(full), v.EvaluateFull({&r1, &r2, &r3}));
 }
 
+// A signed full-span delta over the two-relation chain R1[A,B] ⋈ R2[C,D].
+Relation SignedFullSpan(const ViewDef& v) {
+  Relation full(v.joined_schema());
+  full.Add(IntTuple({1, 3, 3, 5}), 2);
+  full.Add(IntTuple({2, 3, 3, 50}), -1);
+  full.Add(IntTuple({4, 3, 3, 50}), 1);
+  return full;
+}
+
+ViewDef::Builder TwoRelationChain() {
+  ViewDef::Builder b;
+  b.AddRelation("R1", Schema::AllInts({"A", "B"}))
+      .AddRelation("R2", Schema::AllInts({"C", "D"}))
+      .JoinOn(0, 1, 0);
+  return b;
+}
+
+TEST(ViewDefTest, FinishFullSpanFastPathEqualsSelectProject) {
+  // Default projection and an explicitly spelled identity both take the
+  // pass-through path; it must equal the general Select + Project.
+  for (ViewDef v : {TwoRelationChain().Build(),
+                    TwoRelationChain().Project({0, 1, 2, 3}).Build()}) {
+    Relation full = SignedFullSpan(v);
+    Relation expected = Project(Select(full, v.selection()), v.projection());
+    Relation finished = v.FinishFullSpan(full);
+    EXPECT_EQ(finished, expected);
+    EXPECT_EQ(finished.schema(), v.view_schema());
+  }
+}
+
+TEST(ViewDefTest, FinishFullSpanStillProjectsAndFilters) {
+  ViewDef narrow = TwoRelationChain().Project({0, 3}).Build();
+  Relation narrowed = narrow.FinishFullSpan(SignedFullSpan(narrow));
+  EXPECT_EQ(narrowed.schema(), narrow.view_schema());
+  EXPECT_EQ(narrowed.CountOf(IntTuple({1, 5})), 2);
+  EXPECT_EQ(narrowed.CountOf(IntTuple({2, 50})), -1);
+  EXPECT_EQ(narrowed.DistinctSize(), 3u);
+
+  // A non-identity permutation of every column is still a projection.
+  ViewDef permuted = TwoRelationChain().Project({3, 2, 1, 0}).Build();
+  EXPECT_TRUE(permuted.FinishFullSpan(SignedFullSpan(permuted))
+                  .Contains(IntTuple({5, 3, 3, 1})));
+
+  ViewDef selective = TwoRelationChain()
+                          .Select(Predicate::AttrCmpConst(
+                              3, CmpOp::kGt, Value(int64_t{10})))
+                          .Build();
+  Relation filtered = selective.FinishFullSpan(SignedFullSpan(selective));
+  EXPECT_EQ(filtered.DistinctSize(), 2u);
+  EXPECT_EQ(filtered.CountOf(IntTuple({1, 3, 3, 5})), 0);
+  EXPECT_EQ(filtered.CountOf(IntTuple({2, 3, 3, 50})), -1);
+  EXPECT_EQ(filtered.CountOf(IntTuple({4, 3, 3, 50})), 1);
+}
+
 TEST(ViewDefTest, CrossProductPairAllowed) {
   // A consecutive pair with no join condition is a cross product.
   ViewDef v = ViewDef::Builder()

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "test_util.h"
 
 namespace sweepmv {
@@ -96,6 +99,48 @@ TEST(WarehouseTest, EveryAlgorithmHandlesTheSameSimpleRun) {
     EXPECT_TRUE(sys.warehouse().update_queue().empty());
     EXPECT_FALSE(sys.warehouse().Busy());
   }
+}
+
+TEST(WarehouseTest, InstallObserverSeesEachInstalledDeltaAndIds) {
+  for (Algorithm a : AllAlgorithmVariants()) {
+    System sys(a, PaperView(), PaperBases(PaperView()),
+               LatencyModel::Fixed(500));
+    std::vector<std::pair<Relation, std::vector<int64_t>>> seen;
+    sys.warehouse().SetInstallObserver(
+        [&seen](const Relation& delta, const std::vector<int64_t>& ids) {
+          seen.emplace_back(delta, ids);
+        });
+    Relation before = sys.warehouse().view();
+    sys.ScheduleInsert(0, 1, IntTuple({3, 5}));
+    sys.ScheduleDelete(5000, 2, IntTuple({7, 8}));
+    sys.Run();
+
+    // Each observed delta is exactly the view transition it announces,
+    // with the ids the install log records for it.
+    const auto& installs = sys.warehouse().install_log();
+    ASSERT_EQ(seen.size(), installs.size()) << AlgorithmName(a);
+    for (size_t i = 0; i < installs.size(); ++i) {
+      Relation transition = installs[i].view_after;
+      transition.MergeNegated(before);
+      EXPECT_EQ(seen[i].first, transition) << AlgorithmName(a);
+      EXPECT_EQ(seen[i].second, installs[i].update_ids) << AlgorithmName(a);
+      before = installs[i].view_after;
+    }
+  }
+
+  // SWEEP on Figure 5's first update: +(3,5) into R2 adds (5,6) twice.
+  System sys(Algorithm::kSweep, PaperView(), PaperBases(PaperView()));
+  std::vector<std::pair<Relation, std::vector<int64_t>>> seen;
+  sys.warehouse().SetInstallObserver(
+      [&seen](const Relation& delta, const std::vector<int64_t>& ids) {
+        seen.emplace_back(delta, ids);
+      });
+  sys.ScheduleInsert(0, 1, IntTuple({3, 5}));
+  sys.Run();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].first.ToDisplayString(), "{(5,6)[2]}");
+  EXPECT_EQ(seen[0].second,
+            std::vector<int64_t>{sys.warehouse().arrival_log()[0].first});
 }
 
 }  // namespace
