@@ -17,7 +17,7 @@ Tuple Tuple::Concat(const Tuple& other) const {
   out.reserve(values_.size() + other.values_.size());
   out.insert(out.end(), values_.begin(), values_.end());
   out.insert(out.end(), other.values_.begin(), other.values_.end());
-  return Tuple(std::move(out));
+  return Tuple(std::move(out), FoldHash(hash_, other.values_));
 }
 
 Tuple Tuple::Project(const std::vector<int>& positions) const {
@@ -29,15 +29,6 @@ Tuple Tuple::Project(const std::vector<int>& positions) const {
     out.push_back(values_[static_cast<size_t>(pos)]);
   }
   return Tuple(std::move(out));
-}
-
-size_t Tuple::ComputeHash(const std::vector<Value>& values) {
-  size_t h = 0xcbf29ce484222325ULL;
-  for (const Value& v : values) {
-    size_t vh = v.Hash();
-    h ^= vh + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
-  return h;
 }
 
 std::string Tuple::ToDisplayString() const {

@@ -17,15 +17,16 @@ class Tuple {
  public:
   Tuple() = default;
   explicit Tuple(std::vector<Value> values)
-      : values_(std::move(values)), hash_(ComputeHash(values_)) {}
+      : values_(std::move(values)), hash_(FoldHash(kEmptyHash, values_)) {}
   Tuple(std::initializer_list<Value> values)
-      : values_(values), hash_(ComputeHash(values_)) {}
+      : values_(values), hash_(FoldHash(kEmptyHash, values_)) {}
 
   size_t arity() const { return values_.size(); }
   const Value& at(size_t i) const;
   const std::vector<Value>& values() const { return values_; }
 
-  // Concatenation of this tuple followed by `other` (used by joins).
+  // Concatenation of this tuple followed by `other` (used by joins). The
+  // hash continues this tuple's fold over `other`'s cells.
   Tuple Concat(const Tuple& other) const;
 
   // Projection onto the given attribute positions (order preserved,
@@ -47,11 +48,23 @@ class Tuple {
   std::string ToDisplayString() const;
 
  private:
-  static size_t ComputeHash(const std::vector<Value>& values);
+  // Hash of the empty tuple: the FNV offset basis.
+  static constexpr size_t kEmptyHash = 0xcbf29ce484222325ULL;
+
+  Tuple(std::vector<Value> values, size_t hash)
+      : values_(std::move(values)), hash_(hash) {}
+
+  // Left fold of the cells' hashes, starting from `h`. A tuple's hash is
+  // the fold from kEmptyHash over all its cells.
+  static size_t FoldHash(size_t h, const std::vector<Value>& values) {
+    for (const Value& v : values) {
+      h ^= v.Hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    }
+    return h;
+  }
 
   std::vector<Value> values_;
-  // Hash of the empty tuple: ComputeHash's FNV offset basis.
-  size_t hash_ = 0xcbf29ce484222325ULL;
+  size_t hash_ = kEmptyHash;
 };
 
 // Convenience builder for all-integer tuples (the dominant case in tests

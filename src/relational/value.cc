@@ -1,9 +1,8 @@
 #include "relational/value.h"
 
-#include <functional>
 #include <mutex>
 #include <ostream>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "common/check.h"
 #include "common/str.h"
@@ -12,14 +11,16 @@ namespace sweepmv {
 
 namespace {
 
-// Intern pool: text -> weak reference to its canonical buffer. Weak
-// entries keep the pool bounded by the set of *live* strings; expired
-// entries are swept periodically instead of per-release so Value
-// destruction stays allocation- and lock-free.
+// Intern pool: one node per distinct text, never erased. Node-based
+// storage keeps every element's address stable across rehashing, so the
+// pointers InternString hands out stay valid until the process exits.
+struct InternedTextHash {
+  size_t operator()(const InternedString& s) const { return s.hash; }
+};
+
 struct InternPool {
   std::mutex mu;
-  std::unordered_map<std::string, std::weak_ptr<const InternedString>> map;
-  size_t inserts_since_sweep = 0;
+  std::unordered_set<InternedString, InternedTextHash> texts;
 };
 
 InternPool& Pool() {
@@ -29,27 +30,12 @@ InternPool& Pool() {
 
 }  // namespace
 
-std::shared_ptr<const InternedString> InternString(std::string text) {
+const InternedString* InternString(std::string text) {
+  size_t hash = std::hash<std::string>{}(text);
+  InternedString key{std::move(text), hash};
   InternPool& pool = Pool();
   std::lock_guard<std::mutex> lock(pool.mu);
-  auto it = pool.map.find(text);
-  if (it != pool.map.end()) {
-    if (std::shared_ptr<const InternedString> live = it->second.lock()) {
-      return live;
-    }
-  }
-  auto interned = std::make_shared<InternedString>();
-  interned->hash = std::hash<std::string>{}(text);
-  interned->text = std::move(text);
-  pool.map[interned->text] = interned;
-  if (++pool.inserts_since_sweep >= 1024) {
-    pool.inserts_since_sweep = 0;
-    for (auto sweep = pool.map.begin(); sweep != pool.map.end();) {
-      sweep = sweep->second.expired() ? pool.map.erase(sweep)
-                                      : std::next(sweep);
-    }
-  }
-  return interned;
+  return &*pool.texts.insert(std::move(key)).first;
 }
 
 const char* ValueTypeName(ValueType type) {
@@ -66,79 +52,40 @@ const char* ValueTypeName(ValueType type) {
 
 int64_t Value::AsInt() const {
   SWEEP_CHECK_MSG(type() == ValueType::kInt, "Value is not an int");
-  return std::get<int64_t>(data_);
+  return int_;
 }
 
 double Value::AsDouble() const {
   SWEEP_CHECK_MSG(type() == ValueType::kDouble, "Value is not a double");
-  return std::get<double>(data_);
+  return double_;
 }
 
 const std::string& Value::AsString() const {
   SWEEP_CHECK_MSG(type() == ValueType::kString, "Value is not a string");
-  return std::get<std::shared_ptr<const InternedString>>(data_)->text;
-}
-
-bool Value::operator==(const Value& other) const {
-  if (data_.index() != other.data_.index()) return false;
-  switch (type()) {
-    case ValueType::kInt:
-      return std::get<int64_t>(data_) == std::get<int64_t>(other.data_);
-    case ValueType::kDouble:
-      return std::get<double>(data_) == std::get<double>(other.data_);
-    case ValueType::kString:
-      // Interning is canonical: one live buffer per distinct text.
-      return std::get<std::shared_ptr<const InternedString>>(data_) ==
-             std::get<std::shared_ptr<const InternedString>>(other.data_);
-  }
-  return false;
+  return string_->text;
 }
 
 bool Value::operator<(const Value& other) const {
-  if (data_.index() != other.data_.index()) {
-    return data_.index() < other.data_.index();
-  }
-  switch (type()) {
+  if (type_ != other.type_) return type_ < other.type_;
+  switch (type_) {
     case ValueType::kInt:
-      return std::get<int64_t>(data_) < std::get<int64_t>(other.data_);
+      return int_ < other.int_;
     case ValueType::kDouble:
-      return std::get<double>(data_) < std::get<double>(other.data_);
-    case ValueType::kString: {
-      const auto& a = std::get<std::shared_ptr<const InternedString>>(data_);
-      const auto& b =
-          std::get<std::shared_ptr<const InternedString>>(other.data_);
-      return a != b && a->text < b->text;
-    }
+      return double_ < other.double_;
+    case ValueType::kString:
+      return string_ != other.string_ && string_->text < other.string_->text;
   }
   return false;
 }
 
-size_t Value::Hash() const {
-  size_t seed = data_.index();
-  size_t h = 0;
-  switch (type()) {
-    case ValueType::kInt:
-      h = std::hash<int64_t>{}(std::get<int64_t>(data_));
-      break;
-    case ValueType::kDouble:
-      h = std::hash<double>{}(std::get<double>(data_));
-      break;
-    case ValueType::kString:
-      h = std::get<std::shared_ptr<const InternedString>>(data_)->hash;
-      break;
-  }
-  // Boost-style hash combine to mix the type tag in.
-  return h ^ (seed + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-}
-
 std::string Value::ToDisplayString() const {
-  switch (type()) {
+  switch (type_) {
     case ValueType::kInt:
-      return std::to_string(std::get<int64_t>(data_));
+      return std::to_string(int_);
     case ValueType::kDouble:
-      return StrFormat("%g", std::get<double>(data_));
+      return StrFormat("%g", double_);
     case ValueType::kString:
-      return "\"" + AsString() + "\"";
+      return "\"" + string_->text + "\"";
   }
   return "?";
 }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace sweepmv {
 namespace {
@@ -63,6 +67,51 @@ TEST(TupleTest, HashConsistency) {
 
 TEST(TupleTest, HashOrderSensitive) {
   EXPECT_NE(IntTuple({1, 2}).Hash(), IntTuple({2, 1}).Hash());
+}
+
+// Golden hashes of 12-cell all-int tuples, the arity of the contended
+// ingest workload's view (see ValueTest.GoldenIntHashes for why they are
+// pinned).
+TEST(TupleTest, GoldenTwelveIntHash) {
+  EXPECT_EQ(IntTuple({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}).Hash(),
+            0x5a5cea8e5f56f246ULL);
+  EXPECT_EQ(IntTuple({-7, 0, 42, 1000000007, -1, 3, 99, 12345678901LL, 5, 6,
+                      7, 8})
+                .Hash(),
+            0xfc6a0076f8e67be4ULL);
+}
+
+Value RandomCell(Rng& rng) {
+  switch (rng.Uniform(0, 2)) {
+    case 0:
+      return Value(rng.Uniform(-1000, 1000));
+    case 1:
+      return Value(static_cast<double>(rng.Uniform(-8, 8)) / 4.0);
+    default:
+      return Value("s" + std::to_string(rng.Uniform(0, 20)));
+  }
+}
+
+std::vector<Value> RandomCells(Rng& rng) {
+  std::vector<Value> cells(static_cast<size_t>(rng.Uniform(0, 6)));
+  for (Value& cell : cells) cell = RandomCell(rng);
+  return cells;
+}
+
+// Concat continues the left operand's hash fold instead of rehashing, so
+// its result must be indistinguishable from building the tuple outright.
+TEST(TupleTest, ConcatMatchesOutrightConstruction) {
+  Rng rng(13);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<Value> left = RandomCells(rng);
+    std::vector<Value> right = RandomCells(rng);
+    std::vector<Value> both = left;
+    both.insert(both.end(), right.begin(), right.end());
+    Tuple joined = Tuple(left).Concat(Tuple(right));
+    Tuple outright(both);
+    EXPECT_EQ(joined, outright) << "trial " << trial;
+    EXPECT_EQ(joined.Hash(), outright.Hash()) << "trial " << trial;
+  }
 }
 
 TEST(TupleTest, DisplayString) {
