@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/fingerprint.h"
 
 namespace sweepmv {
 
@@ -56,5 +57,9 @@ int64_t Rng::Zipf(int64_t n, double theta) {
 }
 
 Rng Rng::Fork() { return Rng(Next() ^ 0xa5a5a5a55a5a5a5aULL); }
+
+void HashLeaf(StateHasher& h, const char* tag, const Rng& rng) {
+  h.U64(tag, rng.state());
+}
 
 }  // namespace sweepmv

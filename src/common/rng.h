@@ -51,6 +51,11 @@ class Rng {
   uint64_t state_;
 };
 
+class StateHasher;
+
+// Fingerprint leaf for the state lists (common/state.h): the raw state.
+void HashLeaf(StateHasher& h, const char* tag, const Rng& rng);
+
 }  // namespace sweepmv
 
 #endif  // SWEEPMV_COMMON_RNG_H_

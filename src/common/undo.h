@@ -13,8 +13,8 @@
 // the round-trip tests compare against.
 //
 // Capture discipline (the correctness contract, pinned by
-// tests/undo_log_test.cc and machine-checked by sweeplint's
-// undo-coverage rule):
+// tests/undo_log_test.cc). Every entry point records its class's whole
+// state list (common/state.h), so no member can be left out:
 //
 //   * An *era* is the span between two watermarks (MarkPoint /
 //     RollbackTo / DiscardTo each open a new one). The explorer marks
@@ -146,30 +146,13 @@ class UndoLog {
 
   // Custom deduplicated restore (e.g. "restore this relation and rebuild
   // its indexes"). `key` identifies the captured object for the
-  // first-touch-per-era rule. The probe overload supplies change
-  // detection for state that needs hand-rolled comparison (per-link
-  // network channels, indexed relations); a probe appends one atom per
-  // member it finds changed.
+  // first-touch-per-era rule. The probe supplies change detection for
+  // state that needs hand-rolled comparison (per-link network channels,
+  // indexed relations); it appends one atom per member it finds changed.
   void Capture(const void* key, std::function<void()> undo,
                std::function<void(std::vector<EffectAtom>&)> probe) {
     if (!FirstTouch(key, kCustom)) return;
     if (observing_ && probe) probes_.push_back(std::move(probe));
-    entries_.push_back(std::move(undo));
-  }
-
-  void Capture(const void* key, std::function<void()> undo) {
-    if (!FirstTouch(key, kCustom)) return;
-    if (observing_) {
-      probes_.push_back([](std::vector<EffectAtom>& out) {
-        out.push_back(EffectAtom{"<untagged>", "", -1});
-      });
-    }
-    entries_.push_back(std::move(undo));
-  }
-
-  // Exact inverse of one operation; never deduplicated.
-  void Push(std::function<void()> undo) {
-    ++recorded_;
     entries_.push_back(std::move(undo));
   }
 
@@ -218,7 +201,6 @@ class UndoLog {
   void OpenEra() {
     for (auto& seen : seen_) seen.clear();
     probes_.clear();
-    ++eras_;
   }
 
   bool FirstTouch(const void* addr, Kind kind) {
@@ -233,7 +215,6 @@ class UndoLog {
   std::unordered_set<const void*> seen_[3];
   int64_t recorded_ = 0;
   int64_t rollbacks_ = 0;
-  int64_t eras_ = 0;
 };
 
 }  // namespace sweepmv

@@ -2,16 +2,16 @@
 //
 // Crash recovery (docs/fault_model.md) restores the warehouse from an
 // in-sim durable store: a checkpoint — the serialized protocol state,
-// exactly the member set Warehouse::SaveState captures plus each
-// algorithm's SaveAlgState members — and a WAL of update messages that
-// arrived after the checkpoint was cut. The codec is deliberately dumb:
-// fixed-width little-endian primitives, length-prefixed containers, no
-// schema evolution (a checkpoint never outlives the simulated run that
-// wrote it). What matters is that it is *total* over the snapshot member
-// sets (lint_invariants.py's checkpoint-coverage rule enforces this
-// against the Save bodies) and *deterministic*: unordered containers are
-// serialized in sorted order, so identical states produce identical
-// bytes and checkpoint size is a stable bench metric.
+// derived from the warehouse's and its algorithm's state lists
+// (common/state.h) — and a WAL of update messages that arrived after the
+// checkpoint was cut. The codec is deliberately dumb: fixed-width
+// little-endian primitives, length-prefixed containers, no schema
+// evolution (a checkpoint never outlives the simulated run that wrote
+// it). It is total over the lists by construction and *deterministic*:
+// unordered containers are serialized in sorted order, so identical
+// states produce identical bytes and checkpoint size is a stable bench
+// metric. This file holds the hand-written leaf formats; member lists
+// never appear here.
 
 #ifndef SWEEPMV_CORE_CHECKPOINT_H_
 #define SWEEPMV_CORE_CHECKPOINT_H_
@@ -85,6 +85,36 @@ class CheckpointReader {
   const std::string& bytes_;
   size_t pos_ = 0;
 };
+
+// Leaf codecs the derived checkpoint codec dispatches to.
+inline void EncodeLeaf(CheckpointWriter& w, const Relation& x) {
+  w.WriteRelation(x);
+}
+inline void EncodeLeaf(CheckpointWriter& w, const Tuple& x) {
+  w.WriteTuple(x);
+}
+inline void EncodeLeaf(CheckpointWriter& w, const PartialDelta& x) {
+  w.WritePartialDelta(x);
+}
+inline void EncodeLeaf(CheckpointWriter& w, const Update& x) {
+  w.WriteUpdate(x);
+}
+inline void EncodeLeaf(CheckpointWriter& w, const Message& x) {
+  w.WriteRequest(x);
+}
+inline void DecodeLeaf(CheckpointReader& r, Relation& x) {
+  x = r.ReadRelation();
+}
+inline void DecodeLeaf(CheckpointReader& r, Tuple& x) { x = r.ReadTuple(); }
+inline void DecodeLeaf(CheckpointReader& r, PartialDelta& x) {
+  x = r.ReadPartialDelta();
+}
+inline void DecodeLeaf(CheckpointReader& r, Update& x) {
+  x = r.ReadUpdate();
+}
+inline void DecodeLeaf(CheckpointReader& r, Message& x) {
+  x = r.ReadRequest();
+}
 
 }  // namespace sweepmv
 

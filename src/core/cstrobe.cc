@@ -252,150 +252,4 @@ void CStrobeWarehouse::FinalizeActive() {
   MaybeStartNext();
 }
 
-std::shared_ptr<const Warehouse::AlgState> CStrobeWarehouse::SaveAlgState()
-    const {
-  Saved s;
-  s.internal_view = internal_view_;
-  s.root_delta = root_delta_;
-  s.active = active_;
-  s.observed_deletes = observed_deletes_;
-  s.spawned = spawned_;
-  s.compensating_queries = compensating_queries_;
-  s.max_tasks_per_update = max_tasks_per_update_;
-  return std::make_shared<TypedAlgState<Saved>>(std::move(s));
-}
-
-void CStrobeWarehouse::RestoreAlgState(const AlgState& state) {
-  const Saved& s = AlgStateAs<Saved>(state);
-  internal_view_ = s.internal_view;
-  root_delta_ = s.root_delta;
-  active_ = s.active;
-  observed_deletes_ = s.observed_deletes;
-  spawned_ = s.spawned;
-  compensating_queries_ = s.compensating_queries;
-  max_tasks_per_update_ = s.max_tasks_per_update;
-}
-
-void CStrobeWarehouse::CaptureUndoAlgState(UndoLog& undo) {
-  undo.CaptureValue(&internal_view_,
-                    {"CStrobeWarehouse", "internal_view_", site_id()});
-  undo.CaptureValue(&root_delta_,
-                    {"CStrobeWarehouse", "root_delta_", site_id()});
-  undo.CaptureValue(&active_, {"CStrobeWarehouse", "active_", site_id()});
-  undo.CaptureValue(&observed_deletes_,
-                    {"CStrobeWarehouse", "observed_deletes_", site_id()});
-  undo.CaptureValue(&spawned_, {"CStrobeWarehouse", "spawned_", site_id()});
-  undo.CaptureValue(&compensating_queries_,
-                    {"CStrobeWarehouse", "compensating_queries_", site_id()});
-  undo.CaptureValue(&max_tasks_per_update_,
-                    {"CStrobeWarehouse", "max_tasks_per_update_", site_id()});
-}
-
-namespace {
-
-void WriteSignature(CheckpointWriter& w,
-                    const std::map<int, Tuple>& signature) {
-  w.WriteI64(static_cast<int64_t>(signature.size()));
-  for (const auto& [rel, tuple] : signature) {
-    w.WriteI32(rel);
-    w.WriteTuple(tuple);
-  }
-}
-
-std::map<int, Tuple> ReadSignature(CheckpointReader& r) {
-  std::map<int, Tuple> signature;
-  const int64_t entries = r.ReadI64();
-  for (int64_t i = 0; i < entries; ++i) {
-    const int rel = r.ReadI32();
-    signature.emplace(rel, r.ReadTuple());
-  }
-  return signature;
-}
-
-}  // namespace
-
-void CStrobeWarehouse::SerializeAlgState(CheckpointWriter& w) const {
-  w.WriteRelation(internal_view_);
-  w.WriteRelation(root_delta_);
-  w.WriteBool(active_.has_value());
-  if (active_.has_value()) {
-    w.WriteI64(active_->update_id);
-    w.WriteI32(active_->src_rel);
-    w.WriteRelation(active_->answer);
-    w.WriteI64(static_cast<int64_t>(active_->tasks.size()));
-    for (const Task& task : active_->tasks) {
-      w.WriteI64(task.local_id);
-      w.WritePartialDelta(task.pd);
-      w.WriteI64(static_cast<int64_t>(task.fixed.size()));
-      for (const auto& [rel, relation] : task.fixed) {
-        w.WriteI32(rel);
-        w.WriteRelation(relation);
-      }
-      w.WriteBool(task.left_phase);
-      w.WriteI32(task.j);
-      w.WriteI64(task.outstanding_query);
-    }
-    w.WriteI64(static_cast<int64_t>(active_->local_removals.size()));
-    for (const auto& [rel, tuple] : active_->local_removals) {
-      w.WriteI32(rel);
-      w.WriteTuple(tuple);
-    }
-    w.WriteI64(active_->tasks_created);
-  }
-  w.WriteI64(static_cast<int64_t>(observed_deletes_.size()));
-  for (const auto& [rel, tuple] : observed_deletes_) {
-    w.WriteI32(rel);
-    w.WriteTuple(tuple);
-  }
-  w.WriteI64(static_cast<int64_t>(spawned_.size()));
-  for (const Signature& signature : spawned_) WriteSignature(w, signature);
-  w.WriteI64(compensating_queries_);
-  w.WriteI64(max_tasks_per_update_);
-}
-
-void CStrobeWarehouse::DeserializeAlgState(CheckpointReader& r) {
-  internal_view_ = r.ReadRelation();
-  root_delta_ = r.ReadRelation();
-  active_.reset();
-  if (r.ReadBool()) {
-    ActiveUpdate active;
-    active.update_id = r.ReadI64();
-    active.src_rel = r.ReadI32();
-    active.answer = r.ReadRelation();
-    const int64_t tasks = r.ReadI64();
-    for (int64_t i = 0; i < tasks; ++i) {
-      Task task;
-      task.local_id = r.ReadI64();
-      task.pd = r.ReadPartialDelta();
-      const int64_t fixed = r.ReadI64();
-      for (int64_t j = 0; j < fixed; ++j) {
-        const int rel = r.ReadI32();
-        task.fixed.emplace(rel, r.ReadRelation());
-      }
-      task.left_phase = r.ReadBool();
-      task.j = r.ReadI32();
-      task.outstanding_query = r.ReadI64();
-      active.tasks.push_back(std::move(task));
-    }
-    const int64_t removals = r.ReadI64();
-    for (int64_t i = 0; i < removals; ++i) {
-      const int rel = r.ReadI32();
-      active.local_removals.emplace_back(rel, r.ReadTuple());
-    }
-    active.tasks_created = r.ReadI64();
-    active_ = std::move(active);
-  }
-  observed_deletes_.clear();
-  const int64_t deletes = r.ReadI64();
-  for (int64_t i = 0; i < deletes; ++i) {
-    const int rel = r.ReadI32();
-    observed_deletes_.emplace_back(rel, r.ReadTuple());
-  }
-  spawned_.clear();
-  const int64_t spawned = r.ReadI64();
-  for (int64_t i = 0; i < spawned; ++i) spawned_.insert(ReadSignature(r));
-  compensating_queries_ = r.ReadI64();
-  max_tasks_per_update_ = r.ReadI64();
-}
-
 }  // namespace sweepmv

@@ -51,6 +51,18 @@ class CStrobeWarehouse : public Warehouse {
   // Largest number of sweep tasks a single update required.
   int64_t max_tasks_per_update() const { return max_tasks_per_update_; }
 
+  // The algorithm half of the state list (common/state.h).
+  template <class Self, class V>
+  static void VisitState(Self& self, V& v) {
+    v.Protocol("internal_view_", self.internal_view_);
+    v.Protocol("root_delta_", self.root_delta_);
+    v.Protocol("active_", self.active_);
+    v.Protocol("observed_deletes_", self.observed_deletes_);
+    v.Protocol("spawned_", self.spawned_);
+    v.Protocol("compensating_queries_", self.compensating_queries_);
+    v.Protocol("max_tasks_per_update_", self.max_tasks_per_update_);
+  }
+
  protected:
   void HandleUpdateArrival() override;
   void HandleQueryAnswer(QueryAnswer answer) override;
@@ -72,6 +84,16 @@ class CStrobeWarehouse : public Warehouse {
     int64_t outstanding_query = -1;
 
     bool operator==(const Task&) const = default;
+
+    template <class Self, class V>
+    static void VisitState(Self& self, V& v) {
+      v.Protocol("local_id", self.local_id);
+      v.Protocol("pd", self.pd);
+      v.Protocol("fixed", self.fixed);
+      v.Protocol("left_phase", self.left_phase);
+      v.Protocol("j", self.j);
+      v.Protocol("outstanding_query", self.outstanding_query);
+    }
   };
 
   struct ActiveUpdate {
@@ -84,6 +106,16 @@ class CStrobeWarehouse : public Warehouse {
     int64_t tasks_created = 0;
 
     bool operator==(const ActiveUpdate&) const = default;
+
+    template <class Self, class V>
+    static void VisitState(Self& self, V& v) {
+      v.Protocol("update_id", self.update_id);
+      v.Protocol("src_rel", self.src_rel);
+      v.Protocol("answer", self.answer);
+      v.Protocol("tasks", self.tasks);
+      v.Protocol("local_removals", self.local_removals);
+      v.Protocol("tasks_created", self.tasks_created);
+    }
   };
 
   void MaybeStartNext();
@@ -100,21 +132,12 @@ class CStrobeWarehouse : public Warehouse {
   void HandleInterference(const Update& update);
   void FinalizeActive();
 
-  // Snapshot/restore: everything mutable below.
-  struct Saved {
-    Relation internal_view;
-    Relation root_delta;
-    std::optional<ActiveUpdate> active;
-    std::vector<std::pair<int, Tuple>> observed_deletes;
-    std::set<Signature> spawned;
-    int64_t compensating_queries = 0;
-    int64_t max_tasks_per_update = 0;
-  };
-  std::shared_ptr<const AlgState> SaveAlgState() const override;
-  void RestoreAlgState(const AlgState& state) override;
-  void CaptureUndoAlgState(UndoLog& undo) override;
-  void SerializeAlgState(CheckpointWriter& w) const override;
-  void DeserializeAlgState(CheckpointReader& r) override;
+  void VisitAlgState(const AlgVisitor& v) override {
+    v.Visit(*this, "CStrobeWarehouse");
+  }
+  void VisitAlgState(const ConstAlgVisitor& v) const override {
+    v.Visit(*this, "CStrobeWarehouse");
+  }
 
   Relation internal_view_;  // full-span, selection applied, set semantics
   Relation root_delta_;     // insert part of the update being processed

@@ -110,116 +110,4 @@ void EcaWarehouse::TryInstall() {
   SWEEP_LOG(Debug) << "ECA installed a quiescent batch";
 }
 
-std::shared_ptr<const Warehouse::AlgState> EcaWarehouse::SaveAlgState()
-    const {
-  Saved s;
-  s.active = active_;
-  s.offsets = offsets_;
-  s.pending_delta = pending_delta_;
-  s.pending_ids = pending_ids_;
-  s.max_query_terms = max_query_terms_;
-  s.total_query_terms = total_query_terms_;
-  s.batch_installs = batch_installs_;
-  return std::make_shared<TypedAlgState<Saved>>(std::move(s));
-}
-
-void EcaWarehouse::RestoreAlgState(const AlgState& state) {
-  const Saved& s = AlgStateAs<Saved>(state);
-  active_ = s.active;
-  offsets_ = s.offsets;
-  pending_delta_ = s.pending_delta;
-  pending_ids_ = s.pending_ids;
-  max_query_terms_ = s.max_query_terms;
-  total_query_terms_ = s.total_query_terms;
-  batch_installs_ = s.batch_installs;
-}
-
-void EcaWarehouse::CaptureUndoAlgState(UndoLog& undo) {
-  undo.CaptureValue(&active_, {"EcaWarehouse", "active_", site_id()});
-  undo.CaptureValue(&offsets_, {"EcaWarehouse", "offsets_", site_id()});
-  undo.CaptureValue(&pending_delta_,
-                    {"EcaWarehouse", "pending_delta_", site_id()});
-  undo.CaptureValue(&pending_ids_,
-                    {"EcaWarehouse", "pending_ids_", site_id()});
-  undo.CaptureValue(&max_query_terms_,
-                    {"EcaWarehouse", "max_query_terms_", site_id()});
-  undo.CaptureValue(&total_query_terms_,
-                    {"EcaWarehouse", "total_query_terms_", site_id()});
-  undo.CaptureValue(&batch_installs_,
-                    {"EcaWarehouse", "batch_installs_", site_id()});
-}
-
-void EcaWarehouse::SerializeAlgState(CheckpointWriter& w) const {
-  auto write_term = [&w](const OffsetTerm& term) {
-    w.WriteI32(term.sign);
-    w.WriteI64(static_cast<int64_t>(term.deltas.size()));
-    for (const auto& [rel, relation] : term.deltas) {
-      w.WriteI32(rel);
-      w.WriteRelation(relation);
-    }
-  };
-  w.WriteBool(active_.has_value());
-  if (active_.has_value()) {
-    w.WriteI64(active_->query_id);
-    w.WriteI64(active_->update_id);
-    w.WriteI32(active_->rel);
-    w.WriteRelation(active_->delta);
-    w.WriteI64(static_cast<int64_t>(active_->sent_terms.size()));
-    for (const OffsetTerm& term : active_->sent_terms) write_term(term);
-  }
-  w.WriteI64(static_cast<int64_t>(offsets_.size()));
-  for (const auto& [update_id, terms] : offsets_) {
-    w.WriteI64(update_id);
-    w.WriteI64(static_cast<int64_t>(terms.size()));
-    for (const OffsetTerm& term : terms) write_term(term);
-  }
-  w.WriteRelation(pending_delta_);
-  w.WriteI64(static_cast<int64_t>(pending_ids_.size()));
-  for (int64_t id : pending_ids_) w.WriteI64(id);
-  w.WriteI64(max_query_terms_);
-  w.WriteI64(total_query_terms_);
-  w.WriteI64(batch_installs_);
-}
-
-void EcaWarehouse::DeserializeAlgState(CheckpointReader& r) {
-  auto read_term = [&r]() {
-    OffsetTerm term;
-    term.sign = r.ReadI32();
-    const int64_t deltas = r.ReadI64();
-    for (int64_t i = 0; i < deltas; ++i) {
-      const int rel = r.ReadI32();
-      term.deltas.emplace(rel, r.ReadRelation());
-    }
-    return term;
-  };
-  active_.reset();
-  if (r.ReadBool()) {
-    ActiveQuery active;
-    active.query_id = r.ReadI64();
-    active.update_id = r.ReadI64();
-    active.rel = r.ReadI32();
-    active.delta = r.ReadRelation();
-    const int64_t terms = r.ReadI64();
-    for (int64_t i = 0; i < terms; ++i) {
-      active.sent_terms.push_back(read_term());
-    }
-    active_ = std::move(active);
-  }
-  offsets_.clear();
-  const int64_t offset_entries = r.ReadI64();
-  for (int64_t i = 0; i < offset_entries; ++i) {
-    const int64_t update_id = r.ReadI64();
-    std::vector<OffsetTerm>& terms = offsets_[update_id];
-    const int64_t count = r.ReadI64();
-    for (int64_t j = 0; j < count; ++j) terms.push_back(read_term());
-  }
-  pending_delta_ = r.ReadRelation();
-  pending_ids_.clear();
-  const int64_t ids = r.ReadI64();
-  for (int64_t i = 0; i < ids; ++i) pending_ids_.push_back(r.ReadI64());
-  max_query_terms_ = r.ReadI64();
-  total_query_terms_ = r.ReadI64();
-  batch_installs_ = r.ReadI64();
-}
-
 }  // namespace sweepmv

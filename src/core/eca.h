@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "common/snapshot.h"
 #include "core/warehouse.h"
 
 namespace sweepmv {
@@ -60,6 +59,19 @@ class EcaWarehouse : public Warehouse {
   int64_t total_query_terms() const { return total_query_terms_; }
   int64_t batch_installs() const { return batch_installs_; }
 
+  // The algorithm half of the state list (common/state.h).
+  template <class Self, class V>
+  static void VisitState(Self& self, V& v) {
+    v.Fixed("compensation_", self.compensation_);
+    v.Protocol("active_", self.active_);
+    v.Protocol("offsets_", self.offsets_);
+    v.Protocol("pending_delta_", self.pending_delta_);
+    v.Protocol("pending_ids_", self.pending_ids_);
+    v.Protocol("max_query_terms_", self.max_query_terms_);
+    v.Protocol("total_query_terms_", self.total_query_terms_);
+    v.Protocol("batch_installs_", self.batch_installs_);
+  }
+
  protected:
   void HandleUpdateArrival() override;
   void HandleEcaAnswer(EcaQueryAnswer answer) override;
@@ -71,6 +83,12 @@ class EcaWarehouse : public Warehouse {
     std::map<int, Relation> deltas;
 
     bool operator==(const OffsetTerm&) const = default;
+
+    template <class Self, class V>
+    static void VisitState(Self& self, V& v) {
+      v.Protocol("sign", self.sign);
+      v.Protocol("deltas", self.deltas);
+    }
   };
 
   struct ActiveQuery {
@@ -83,29 +101,28 @@ class EcaWarehouse : public Warehouse {
     std::vector<OffsetTerm> sent_terms;
 
     bool operator==(const ActiveQuery&) const = default;
+
+    template <class Self, class V>
+    static void VisitState(Self& self, V& v) {
+      v.Protocol("query_id", self.query_id);
+      v.Protocol("update_id", self.update_id);
+      v.Protocol("rel", self.rel);
+      v.Protocol("delta", self.delta);
+      v.Protocol("sent_terms", self.sent_terms);
+    }
   };
 
   void MaybeStartNext();
   void TryInstall();
 
-  // Snapshot/restore: everything mutable below (compensation_ is config).
-  struct Saved {
-    std::optional<ActiveQuery> active;
-    std::map<int64_t, std::vector<OffsetTerm>> offsets;
-    Relation pending_delta;
-    std::vector<int64_t> pending_ids;
-    int64_t max_query_terms = 0;
-    int64_t total_query_terms = 0;
-    int64_t batch_installs = 0;
-  };
-  std::shared_ptr<const AlgState> SaveAlgState() const override;
-  void RestoreAlgState(const AlgState& state) override;
-  void CaptureUndoAlgState(UndoLog& undo) override;
-  void SerializeAlgState(CheckpointWriter& w) const override;
-  void DeserializeAlgState(CheckpointReader& r) override;
+  void VisitAlgState(const AlgVisitor& v) override {
+    v.Visit(*this, "EcaWarehouse");
+  }
+  void VisitAlgState(const ConstAlgVisitor& v) const override {
+    v.Visit(*this, "EcaWarehouse");
+  }
 
-  SWEEP_SNAPSHOT_EXEMPT(
-      "compensation on/off is an experiment knob, fixed at construction")
+  // Experiment knob, fixed at construction.
   bool compensation_ = true;
   std::optional<ActiveQuery> active_;
   // Contamination records per queued update id.

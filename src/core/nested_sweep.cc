@@ -160,84 +160,4 @@ void NestedSweepWarehouse::CompleteTopFrame() {
   Advance();
 }
 
-std::shared_ptr<const Warehouse::AlgState>
-NestedSweepWarehouse::SaveAlgState() const {
-  Saved s;
-  s.stack = stack_;
-  s.batch_ids = batch_ids_;
-  s.compensations = compensations_;
-  s.nested_calls = nested_calls_;
-  s.forced_deferrals = forced_deferrals_;
-  s.max_depth_seen = max_depth_seen_;
-  return std::make_shared<TypedAlgState<Saved>>(std::move(s));
-}
-
-void NestedSweepWarehouse::RestoreAlgState(const AlgState& state) {
-  const Saved& s = AlgStateAs<Saved>(state);
-  stack_ = s.stack;
-  batch_ids_ = s.batch_ids;
-  compensations_ = s.compensations;
-  nested_calls_ = s.nested_calls;
-  forced_deferrals_ = s.forced_deferrals;
-  max_depth_seen_ = s.max_depth_seen;
-}
-
-void NestedSweepWarehouse::CaptureUndoAlgState(UndoLog& undo) {
-  undo.CaptureValue(&stack_, {"NestedSweepWarehouse", "stack_", site_id()});
-  undo.CaptureValue(&batch_ids_,
-                    {"NestedSweepWarehouse", "batch_ids_", site_id()});
-  undo.CaptureValue(&compensations_,
-                    {"NestedSweepWarehouse", "compensations_", site_id()});
-  undo.CaptureValue(&nested_calls_,
-                    {"NestedSweepWarehouse", "nested_calls_", site_id()});
-  undo.CaptureValue(&forced_deferrals_,
-                    {"NestedSweepWarehouse", "forced_deferrals_", site_id()});
-  undo.CaptureValue(&max_depth_seen_,
-                    {"NestedSweepWarehouse", "max_depth_seen_", site_id()});
-}
-
-void NestedSweepWarehouse::SerializeAlgState(CheckpointWriter& w) const {
-  w.WriteI64(static_cast<int64_t>(stack_.size()));
-  for (const Frame& frame : stack_) {
-    w.WriteI32(frame.left);
-    w.WriteI32(frame.src);
-    w.WriteI32(frame.right);
-    w.WritePartialDelta(frame.dv);
-    w.WritePartialDelta(frame.temp);
-    w.WriteBool(frame.left_phase);
-    w.WriteI32(frame.j);
-    w.WriteI64(frame.outstanding_query);
-  }
-  w.WriteI64(static_cast<int64_t>(batch_ids_.size()));
-  for (int64_t id : batch_ids_) w.WriteI64(id);
-  w.WriteI64(compensations_);
-  w.WriteI64(nested_calls_);
-  w.WriteI64(forced_deferrals_);
-  w.WriteI32(max_depth_seen_);
-}
-
-void NestedSweepWarehouse::DeserializeAlgState(CheckpointReader& r) {
-  stack_.clear();
-  const int64_t frames = r.ReadI64();
-  for (int64_t i = 0; i < frames; ++i) {
-    Frame frame;
-    frame.left = r.ReadI32();
-    frame.src = r.ReadI32();
-    frame.right = r.ReadI32();
-    frame.dv = r.ReadPartialDelta();
-    frame.temp = r.ReadPartialDelta();
-    frame.left_phase = r.ReadBool();
-    frame.j = r.ReadI32();
-    frame.outstanding_query = r.ReadI64();
-    stack_.push_back(std::move(frame));
-  }
-  batch_ids_.clear();
-  const int64_t ids = r.ReadI64();
-  for (int64_t i = 0; i < ids; ++i) batch_ids_.push_back(r.ReadI64());
-  compensations_ = r.ReadI64();
-  nested_calls_ = r.ReadI64();
-  forced_deferrals_ = r.ReadI64();
-  max_depth_seen_ = r.ReadI32();
-}
-
 }  // namespace sweepmv

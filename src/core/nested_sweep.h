@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "common/snapshot.h"
 #include "core/warehouse.h"
 
 namespace sweepmv {
@@ -54,6 +53,18 @@ class NestedSweepWarehouse : public Warehouse {
   int64_t forced_deferrals() const { return forced_deferrals_; }
   int max_depth_seen() const { return max_depth_seen_; }
 
+  // The algorithm half of the state list (common/state.h).
+  template <class Self, class V>
+  static void VisitState(Self& self, V& v) {
+    v.Protocol("stack_", self.stack_);
+    v.Protocol("batch_ids_", self.batch_ids_);
+    v.Fixed("options_", self.options_);
+    v.Protocol("compensations_", self.compensations_);
+    v.Protocol("nested_calls_", self.nested_calls_);
+    v.Protocol("forced_deferrals_", self.forced_deferrals_);
+    v.Protocol("max_depth_seen_", self.max_depth_seen_);
+  }
+
  protected:
   void HandleUpdateArrival() override;
   void HandleQueryAnswer(QueryAnswer answer) override;
@@ -71,6 +82,18 @@ class NestedSweepWarehouse : public Warehouse {
     int64_t outstanding_query = -1;
 
     bool operator==(const Frame&) const = default;
+
+    template <class Self, class V>
+    static void VisitState(Self& self, V& v) {
+      v.Protocol("left", self.left);
+      v.Protocol("src", self.src);
+      v.Protocol("right", self.right);
+      v.Protocol("dv", self.dv);
+      v.Protocol("temp", self.temp);
+      v.Protocol("left_phase", self.left_phase);
+      v.Protocol("j", self.j);
+      v.Protocol("outstanding_query", self.outstanding_query);
+    }
   };
 
   void MaybeStartNext();
@@ -78,25 +101,16 @@ class NestedSweepWarehouse : public Warehouse {
   // Completes the top frame: merge into the parent, or install at root.
   void CompleteTopFrame();
 
-  // Snapshot/restore: everything mutable below (options_ is immutable).
-  struct Saved {
-    std::vector<Frame> stack;
-    std::vector<int64_t> batch_ids;
-    int64_t compensations = 0;
-    int64_t nested_calls = 0;
-    int64_t forced_deferrals = 0;
-    int max_depth_seen = 0;
-  };
-  std::shared_ptr<const AlgState> SaveAlgState() const override;
-  void RestoreAlgState(const AlgState& state) override;
-  void CaptureUndoAlgState(UndoLog& undo) override;
-  void SerializeAlgState(CheckpointWriter& w) const override;
-  void DeserializeAlgState(CheckpointReader& r) override;
+  void VisitAlgState(const AlgVisitor& v) override {
+    v.Visit(*this, "NestedSweepWarehouse");
+  }
+  void VisitAlgState(const ConstAlgVisitor& v) const override {
+    v.Visit(*this, "NestedSweepWarehouse");
+  }
 
   std::vector<Frame> stack_;
   // Ids of every update folded into the current composite ΔV.
   std::vector<int64_t> batch_ids_;
-  SWEEP_SNAPSHOT_EXEMPT("tuning knobs, fixed at construction")
   NestedOptions options_;
   int64_t compensations_ = 0;
   int64_t nested_calls_ = 0;

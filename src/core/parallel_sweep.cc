@@ -126,67 +126,4 @@ void ParallelSweepWarehouse::MaybeFinish() {
   MaybeStartNext();
 }
 
-std::shared_ptr<const Warehouse::AlgState>
-ParallelSweepWarehouse::SaveAlgState() const {
-  Saved s;
-  s.active = active_;
-  s.compensations = compensations_;
-  return std::make_shared<TypedAlgState<Saved>>(std::move(s));
-}
-
-void ParallelSweepWarehouse::RestoreAlgState(const AlgState& state) {
-  const Saved& s = AlgStateAs<Saved>(state);
-  active_ = s.active;
-  compensations_ = s.compensations;
-}
-
-void ParallelSweepWarehouse::CaptureUndoAlgState(UndoLog& undo) {
-  undo.CaptureValue(&active_,
-                    {"ParallelSweepWarehouse", "active_", site_id()});
-  undo.CaptureValue(&compensations_,
-                    {"ParallelSweepWarehouse", "compensations_", site_id()});
-}
-
-void ParallelSweepWarehouse::SerializeAlgState(CheckpointWriter& w) const {
-  auto write_side = [&w](const Side& side) {
-    w.WriteBool(side.extend_left);
-    w.WritePartialDelta(side.dv);
-    w.WritePartialDelta(side.temp);
-    w.WriteI32(side.j);
-    w.WriteBool(side.done);
-    w.WriteI64(side.outstanding_query);
-  };
-  w.WriteBool(active_.has_value());
-  if (active_.has_value()) {
-    w.WriteI64(active_->update_id);
-    w.WriteI32(active_->update_source);
-    write_side(active_->left);
-    write_side(active_->right);
-  }
-  w.WriteI64(compensations_);
-}
-
-void ParallelSweepWarehouse::DeserializeAlgState(CheckpointReader& r) {
-  auto read_side = [&r]() {
-    Side side;
-    side.extend_left = r.ReadBool();
-    side.dv = r.ReadPartialDelta();
-    side.temp = r.ReadPartialDelta();
-    side.j = r.ReadI32();
-    side.done = r.ReadBool();
-    side.outstanding_query = r.ReadI64();
-    return side;
-  };
-  active_.reset();
-  if (r.ReadBool()) {
-    ActiveSweep active;
-    active.update_id = r.ReadI64();
-    active.update_source = r.ReadI32();
-    active.left = read_side();
-    active.right = read_side();
-    active_ = std::move(active);
-  }
-  compensations_ = r.ReadI64();
-}
-
 }  // namespace sweepmv

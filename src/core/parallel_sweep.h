@@ -34,6 +34,13 @@ class ParallelSweepWarehouse : public Warehouse {
 
   int64_t compensations() const { return compensations_; }
 
+  // The algorithm half of the state list (common/state.h).
+  template <class Self, class V>
+  static void VisitState(Self& self, V& v) {
+    v.Protocol("active_", self.active_);
+    v.Protocol("compensations_", self.compensations_);
+  }
+
  protected:
   void HandleUpdateArrival() override;
   void HandleQueryAnswer(QueryAnswer answer) override;
@@ -48,6 +55,16 @@ class ParallelSweepWarehouse : public Warehouse {
     int64_t outstanding_query = -1;
 
     bool operator==(const Side&) const = default;
+
+    template <class Self, class V>
+    static void VisitState(Self& self, V& v) {
+      v.Protocol("extend_left", self.extend_left);
+      v.Protocol("dv", self.dv);
+      v.Protocol("temp", self.temp);
+      v.Protocol("j", self.j);
+      v.Protocol("done", self.done);
+      v.Protocol("outstanding_query", self.outstanding_query);
+    }
   };
 
   struct ActiveSweep {
@@ -57,6 +74,14 @@ class ParallelSweepWarehouse : public Warehouse {
     Side right;
 
     bool operator==(const ActiveSweep&) const = default;
+
+    template <class Self, class V>
+    static void VisitState(Self& self, V& v) {
+      v.Protocol("update_id", self.update_id);
+      v.Protocol("update_source", self.update_source);
+      v.Protocol("left", self.left);
+      v.Protocol("right", self.right);
+    }
   };
 
   void MaybeStartNext();
@@ -65,16 +90,12 @@ class ParallelSweepWarehouse : public Warehouse {
   void AdvanceSide(Side& side);
   void MaybeFinish();
 
-  // Snapshot/restore: everything mutable above.
-  struct Saved {
-    std::optional<ActiveSweep> active;
-    int64_t compensations = 0;
-  };
-  std::shared_ptr<const AlgState> SaveAlgState() const override;
-  void RestoreAlgState(const AlgState& state) override;
-  void CaptureUndoAlgState(UndoLog& undo) override;
-  void SerializeAlgState(CheckpointWriter& w) const override;
-  void DeserializeAlgState(CheckpointReader& r) override;
+  void VisitAlgState(const AlgVisitor& v) override {
+    v.Visit(*this, "ParallelSweepWarehouse");
+  }
+  void VisitAlgState(const ConstAlgVisitor& v) const override {
+    v.Visit(*this, "ParallelSweepWarehouse");
+  }
 
   std::optional<ActiveSweep> active_;
   int64_t compensations_ = 0;

@@ -137,91 +137,4 @@ void PipelinedSweepWarehouse::TryInstallInOrder() {
   }
 }
 
-std::shared_ptr<const Warehouse::AlgState>
-PipelinedSweepWarehouse::SaveAlgState() const {
-  Saved s;
-  s.received = received_;
-  s.started = started_;
-  s.inflight = inflight_;
-  s.compensations = compensations_;
-  s.max_observed_inflight = max_observed_inflight_;
-  s.malformed_answers_rejected = malformed_answers_rejected_;
-  return std::make_shared<TypedAlgState<Saved>>(std::move(s));
-}
-
-void PipelinedSweepWarehouse::RestoreAlgState(const AlgState& state) {
-  const Saved& s = AlgStateAs<Saved>(state);
-  received_ = s.received;
-  started_ = s.started;
-  inflight_ = s.inflight;
-  compensations_ = s.compensations;
-  max_observed_inflight_ = s.max_observed_inflight;
-  malformed_answers_rejected_ = s.malformed_answers_rejected;
-}
-
-void PipelinedSweepWarehouse::CaptureUndoAlgState(UndoLog& undo) {
-  undo.CaptureValue(&received_,
-                    {"PipelinedSweepWarehouse", "received_", site_id()});
-  undo.CaptureValue(&started_,
-                    {"PipelinedSweepWarehouse", "started_", site_id()});
-  undo.CaptureValue(&inflight_,
-                    {"PipelinedSweepWarehouse", "inflight_", site_id()});
-  undo.CaptureValue(&compensations_,
-                    {"PipelinedSweepWarehouse", "compensations_", site_id()});
-  undo.CaptureValue(
-      &max_observed_inflight_,
-      {"PipelinedSweepWarehouse", "max_observed_inflight_", site_id()});
-  undo.CaptureValue(
-      &malformed_answers_rejected_,
-      {"PipelinedSweepWarehouse", "malformed_answers_rejected_", site_id()});
-}
-
-void PipelinedSweepWarehouse::SerializeAlgState(CheckpointWriter& w) const {
-  w.WriteI64(static_cast<int64_t>(received_.size()));
-  for (const Update& update : received_) w.WriteUpdate(update);
-  w.WriteI64(static_cast<int64_t>(started_));
-  w.WriteI64(static_cast<int64_t>(inflight_.size()));
-  for (const Sweep& sweep : inflight_) {
-    w.WriteI64(static_cast<int64_t>(sweep.arrival_index));
-    w.WriteI64(sweep.update_id);
-    w.WriteI32(sweep.update_source);
-    w.WritePartialDelta(sweep.dv);
-    w.WritePartialDelta(sweep.temp);
-    w.WriteBool(sweep.left_phase);
-    w.WriteI32(sweep.j);
-    w.WriteI64(sweep.outstanding_query);
-    w.WriteBool(sweep.complete);
-  }
-  w.WriteI64(compensations_);
-  w.WriteI32(max_observed_inflight_);
-  w.WriteI64(malformed_answers_rejected_);
-}
-
-void PipelinedSweepWarehouse::DeserializeAlgState(CheckpointReader& r) {
-  received_.clear();
-  const int64_t received = r.ReadI64();
-  for (int64_t i = 0; i < received; ++i) {
-    received_.push_back(r.ReadUpdate());
-  }
-  started_ = static_cast<size_t>(r.ReadI64());
-  inflight_.clear();
-  const int64_t sweeps = r.ReadI64();
-  for (int64_t i = 0; i < sweeps; ++i) {
-    Sweep sweep;
-    sweep.arrival_index = static_cast<size_t>(r.ReadI64());
-    sweep.update_id = r.ReadI64();
-    sweep.update_source = r.ReadI32();
-    sweep.dv = r.ReadPartialDelta();
-    sweep.temp = r.ReadPartialDelta();
-    sweep.left_phase = r.ReadBool();
-    sweep.j = r.ReadI32();
-    sweep.outstanding_query = r.ReadI64();
-    sweep.complete = r.ReadBool();
-    inflight_.push_back(std::move(sweep));
-  }
-  compensations_ = r.ReadI64();
-  max_observed_inflight_ = r.ReadI32();
-  malformed_answers_rejected_ = r.ReadI64();
-}
-
 }  // namespace sweepmv

@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "common/snapshot.h"
 #include "core/warehouse.h"
 
 namespace sweepmv {
@@ -55,6 +54,19 @@ class PipelinedSweepWarehouse : public Warehouse {
     return malformed_answers_rejected_;
   }
 
+  // The algorithm half of the state list (common/state.h).
+  template <class Self, class V>
+  static void VisitState(Self& self, V& v) {
+    v.Fixed("options_", self.options_);
+    v.Protocol("received_", self.received_);
+    v.Protocol("started_", self.started_);
+    v.Protocol("inflight_", self.inflight_);
+    v.Protocol("compensations_", self.compensations_);
+    v.Protocol("max_observed_inflight_", self.max_observed_inflight_);
+    v.Protocol("malformed_answers_rejected_",
+               self.malformed_answers_rejected_);
+  }
+
  protected:
   void HandleUpdateArrival() override;
   void HandleQueryAnswer(QueryAnswer answer) override;
@@ -72,6 +84,19 @@ class PipelinedSweepWarehouse : public Warehouse {
     bool complete = false;
 
     bool operator==(const Sweep&) const = default;
+
+    template <class Self, class V>
+    static void VisitState(Self& self, V& v) {
+      v.Protocol("arrival_index", self.arrival_index);
+      v.Protocol("update_id", self.update_id);
+      v.Protocol("update_source", self.update_source);
+      v.Protocol("dv", self.dv);
+      v.Protocol("temp", self.temp);
+      v.Protocol("left_phase", self.left_phase);
+      v.Protocol("j", self.j);
+      v.Protocol("outstanding_query", self.outstanding_query);
+      v.Protocol("complete", self.complete);
+    }
   };
 
   void StartPending();
@@ -81,22 +106,13 @@ class PipelinedSweepWarehouse : public Warehouse {
   Relation InterferingDelta(int rel, size_t after) const;
   void TryInstallInOrder();
 
-  // Snapshot/restore: everything mutable below (options_ is immutable).
-  struct Saved {
-    std::vector<Update> received;
-    size_t started = 0;
-    std::deque<Sweep> inflight;
-    int64_t compensations = 0;
-    int max_observed_inflight = 0;
-    int64_t malformed_answers_rejected = 0;
-  };
-  std::shared_ptr<const AlgState> SaveAlgState() const override;
-  void RestoreAlgState(const AlgState& state) override;
-  void CaptureUndoAlgState(UndoLog& undo) override;
-  void SerializeAlgState(CheckpointWriter& w) const override;
-  void DeserializeAlgState(CheckpointReader& r) override;
+  void VisitAlgState(const AlgVisitor& v) override {
+    v.Visit(*this, "PipelinedSweepWarehouse");
+  }
+  void VisitAlgState(const ConstAlgVisitor& v) const override {
+    v.Visit(*this, "PipelinedSweepWarehouse");
+  }
 
-  SWEEP_SNAPSHOT_EXEMPT("tuning knobs, fixed at construction")
   PipelineOptions options_;
   // Every update ever received, in arrival order (the receive log the
   // interference rule consults).

@@ -58,56 +58,4 @@ void RecomputeWarehouse::HandleSnapshotAnswer(SnapshotAnswer answer) {
   MaybeStartNext();
 }
 
-std::shared_ptr<const Warehouse::AlgState>
-RecomputeWarehouse::SaveAlgState() const {
-  Saved s;
-  s.active = active_;
-  s.recomputations = recomputations_;
-  return std::make_shared<TypedAlgState<Saved>>(std::move(s));
-}
-
-void RecomputeWarehouse::RestoreAlgState(const AlgState& state) {
-  const Saved& s = AlgStateAs<Saved>(state);
-  active_ = s.active;
-  recomputations_ = s.recomputations;
-}
-
-void RecomputeWarehouse::CaptureUndoAlgState(UndoLog& undo) {
-  undo.CaptureValue(&active_, {"RecomputeWarehouse", "active_", site_id()});
-  undo.CaptureValue(&recomputations_,
-                    {"RecomputeWarehouse", "recomputations_", site_id()});
-}
-
-void RecomputeWarehouse::SerializeAlgState(CheckpointWriter& w) const {
-  w.WriteBool(active_.has_value());
-  if (active_.has_value()) {
-    w.WriteI64(static_cast<int64_t>(active_->update_ids.size()));
-    for (int64_t id : active_->update_ids) w.WriteI64(id);
-    w.WriteI64(static_cast<int64_t>(active_->snapshots.size()));
-    for (const auto& [rel, snapshot] : active_->snapshots) {
-      w.WriteI32(rel);
-      w.WriteRelation(snapshot);
-    }
-  }
-  w.WriteI64(recomputations_);
-}
-
-void RecomputeWarehouse::DeserializeAlgState(CheckpointReader& r) {
-  active_.reset();
-  if (r.ReadBool()) {
-    ActiveRecompute active;
-    const int64_t ids = r.ReadI64();
-    for (int64_t i = 0; i < ids; ++i) {
-      active.update_ids.push_back(r.ReadI64());
-    }
-    const int64_t snapshots = r.ReadI64();
-    for (int64_t i = 0; i < snapshots; ++i) {
-      const int rel = r.ReadI32();
-      active.snapshots.emplace(rel, r.ReadRelation());
-    }
-    active_ = std::move(active);
-  }
-  recomputations_ = r.ReadI64();
-}
-
 }  // namespace sweepmv

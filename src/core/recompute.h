@@ -33,6 +33,13 @@ class RecomputeWarehouse : public Warehouse {
 
   int64_t recomputations() const { return recomputations_; }
 
+  // The algorithm half of the state list (common/state.h).
+  template <class Self, class V>
+  static void VisitState(Self& self, V& v) {
+    v.Protocol("active_", self.active_);
+    v.Protocol("recomputations_", self.recomputations_);
+  }
+
  protected:
   void HandleUpdateArrival() override;
   void HandleSnapshotAnswer(SnapshotAnswer answer) override;
@@ -43,20 +50,22 @@ class RecomputeWarehouse : public Warehouse {
     std::map<int, Relation> snapshots;  // relation index -> snapshot
 
     bool operator==(const ActiveRecompute&) const = default;
+
+    template <class Self, class V>
+    static void VisitState(Self& self, V& v) {
+      v.Protocol("update_ids", self.update_ids);
+      v.Protocol("snapshots", self.snapshots);
+    }
   };
 
   void MaybeStartNext();
 
-  // Snapshot/restore: everything mutable above.
-  struct Saved {
-    std::optional<ActiveRecompute> active;
-    int64_t recomputations = 0;
-  };
-  std::shared_ptr<const AlgState> SaveAlgState() const override;
-  void RestoreAlgState(const AlgState& state) override;
-  void CaptureUndoAlgState(UndoLog& undo) override;
-  void SerializeAlgState(CheckpointWriter& w) const override;
-  void DeserializeAlgState(CheckpointReader& r) override;
+  void VisitAlgState(const AlgVisitor& v) override {
+    v.Visit(*this, "RecomputeWarehouse");
+  }
+  void VisitAlgState(const ConstAlgVisitor& v) const override {
+    v.Visit(*this, "RecomputeWarehouse");
+  }
 
   std::optional<ActiveRecompute> active_;
   int64_t recomputations_ = 0;

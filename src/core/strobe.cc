@@ -166,93 +166,4 @@ void StrobeWarehouse::TryInstall() {
   SWEEP_LOG(Debug) << "Strobe installed a quiescent batch";
 }
 
-std::shared_ptr<const Warehouse::AlgState> StrobeWarehouse::SaveAlgState()
-    const {
-  Saved s;
-  s.internal_view = internal_view_;
-  s.pending = pending_;
-  s.action_list = action_list_;
-  s.batch_installs = batch_installs_;
-  return std::make_shared<TypedAlgState<Saved>>(std::move(s));
-}
-
-void StrobeWarehouse::RestoreAlgState(const AlgState& state) {
-  const Saved& s = AlgStateAs<Saved>(state);
-  internal_view_ = s.internal_view;
-  pending_ = s.pending;
-  action_list_ = s.action_list;
-  batch_installs_ = s.batch_installs;
-}
-
-void StrobeWarehouse::CaptureUndoAlgState(UndoLog& undo) {
-  undo.CaptureValue(&internal_view_,
-                    {"StrobeWarehouse", "internal_view_", site_id()});
-  undo.CaptureValue(&pending_, {"StrobeWarehouse", "pending_", site_id()});
-  undo.CaptureValue(&action_list_,
-                    {"StrobeWarehouse", "action_list_", site_id()});
-  undo.CaptureValue(&batch_installs_,
-                    {"StrobeWarehouse", "batch_installs_", site_id()});
-}
-
-void StrobeWarehouse::SerializeAlgState(CheckpointWriter& w) const {
-  w.WriteRelation(internal_view_);
-  w.WriteI64(static_cast<int64_t>(pending_.size()));
-  for (const PendingQuery& query : pending_) {
-    w.WriteI64(query.update_id);
-    w.WriteI32(query.src_rel);
-    w.WritePartialDelta(query.pd);
-    w.WriteBool(query.left_phase);
-    w.WriteI32(query.j);
-    w.WriteI64(query.outstanding_query);
-    w.WriteI64(static_cast<int64_t>(query.pending_deletes.size()));
-    for (const auto& [rel, tuple] : query.pending_deletes) {
-      w.WriteI32(rel);
-      w.WriteTuple(tuple);
-    }
-  }
-  w.WriteI64(static_cast<int64_t>(action_list_.size()));
-  for (const Action& action : action_list_) {
-    w.WriteU8(action.kind == Action::Kind::kDeleteKey ? 0 : 1);
-    w.WriteI32(action.rel);
-    w.WriteTuple(action.key);
-    w.WriteRelation(action.tuples);
-    w.WriteI64(action.update_id);
-  }
-  w.WriteI64(batch_installs_);
-}
-
-void StrobeWarehouse::DeserializeAlgState(CheckpointReader& r) {
-  internal_view_ = r.ReadRelation();
-  pending_.clear();
-  const int64_t pending_count = r.ReadI64();
-  for (int64_t i = 0; i < pending_count; ++i) {
-    PendingQuery query;
-    query.update_id = r.ReadI64();
-    query.src_rel = r.ReadI32();
-    query.pd = r.ReadPartialDelta();
-    query.left_phase = r.ReadBool();
-    query.j = r.ReadI32();
-    query.outstanding_query = r.ReadI64();
-    const int64_t deletes = r.ReadI64();
-    for (int64_t j = 0; j < deletes; ++j) {
-      const int rel = r.ReadI32();
-      query.pending_deletes.emplace_back(rel, r.ReadTuple());
-    }
-    pending_.push_back(std::move(query));
-  }
-  action_list_.clear();
-  const int64_t actions = r.ReadI64();
-  for (int64_t i = 0; i < actions; ++i) {
-    Action action;
-    action.kind = r.ReadU8() == 0 ? Action::Kind::kDeleteKey
-                                  : Action::Kind::kInsert;
-    action.rel = r.ReadI32();
-    action.key = r.ReadTuple();
-    action.tuples = r.ReadRelation();
-    action.update_id = r.ReadI64();
-    action_list_.push_back(std::move(action));
-  }
-  batch_installs_ = r.ReadI64();
-}
-
 }  // namespace sweepmv

@@ -43,6 +43,15 @@ class StrobeWarehouse : public Warehouse {
   // Installs performed (each covers a whole quiescent batch).
   int64_t batch_installs() const { return batch_installs_; }
 
+  // The algorithm half of the state list (common/state.h).
+  template <class Self, class V>
+  static void VisitState(Self& self, V& v) {
+    v.Protocol("internal_view_", self.internal_view_);
+    v.Protocol("pending_", self.pending_);
+    v.Protocol("action_list_", self.action_list_);
+    v.Protocol("batch_installs_", self.batch_installs_);
+  }
+
  protected:
   void HandleUpdateArrival() override;
   void HandleQueryAnswer(QueryAnswer answer) override;
@@ -60,6 +69,17 @@ class StrobeWarehouse : public Warehouse {
     std::vector<std::pair<int, Tuple>> pending_deletes;
 
     bool operator==(const PendingQuery&) const = default;
+
+    template <class Self, class V>
+    static void VisitState(Self& self, V& v) {
+      v.Protocol("update_id", self.update_id);
+      v.Protocol("src_rel", self.src_rel);
+      v.Protocol("pd", self.pd);
+      v.Protocol("left_phase", self.left_phase);
+      v.Protocol("j", self.j);
+      v.Protocol("outstanding_query", self.outstanding_query);
+      v.Protocol("pending_deletes", self.pending_deletes);
+    }
   };
 
   struct Action {
@@ -71,6 +91,15 @@ class StrobeWarehouse : public Warehouse {
     int64_t update_id = -1;
 
     bool operator==(const Action&) const = default;
+
+    template <class Self, class V>
+    static void VisitState(Self& self, V& v) {
+      v.Protocol("kind", self.kind);
+      v.Protocol("rel", self.rel);
+      v.Protocol("key", self.key);
+      v.Protocol("tuples", self.tuples);
+      v.Protocol("update_id", self.update_id);
+    }
   };
 
   void ProcessArrivals();
@@ -78,18 +107,12 @@ class StrobeWarehouse : public Warehouse {
   void FinalizeQuery(size_t index);
   void TryInstall();
 
-  // Snapshot/restore: everything mutable above.
-  struct Saved {
-    Relation internal_view;
-    std::vector<PendingQuery> pending;
-    std::vector<Action> action_list;
-    int64_t batch_installs = 0;
-  };
-  std::shared_ptr<const AlgState> SaveAlgState() const override;
-  void RestoreAlgState(const AlgState& state) override;
-  void CaptureUndoAlgState(UndoLog& undo) override;
-  void SerializeAlgState(CheckpointWriter& w) const override;
-  void DeserializeAlgState(CheckpointReader& r) override;
+  void VisitAlgState(const AlgVisitor& v) override {
+    v.Visit(*this, "StrobeWarehouse");
+  }
+  void VisitAlgState(const ConstAlgVisitor& v) const override {
+    v.Visit(*this, "StrobeWarehouse");
+  }
 
   // Full-span, selection-applied, set-semantics view (keys preserved).
   Relation internal_view_;

@@ -113,54 +113,4 @@ void SweepWarehouse::Finish() {
   MaybeStartNext();
 }
 
-std::shared_ptr<const Warehouse::AlgState> SweepWarehouse::SaveAlgState()
-    const {
-  Saved s;
-  s.active = active_;
-  s.compensations = compensations_;
-  return std::make_shared<TypedAlgState<Saved>>(std::move(s));
-}
-
-void SweepWarehouse::RestoreAlgState(const AlgState& state) {
-  const Saved& s = AlgStateAs<Saved>(state);
-  active_ = s.active;
-  compensations_ = s.compensations;
-}
-
-void SweepWarehouse::CaptureUndoAlgState(UndoLog& undo) {
-  undo.CaptureValue(&active_, {"SweepWarehouse", "active_", site_id()});
-  undo.CaptureValue(&compensations_,
-                    {"SweepWarehouse", "compensations_", site_id()});
-}
-
-void SweepWarehouse::SerializeAlgState(CheckpointWriter& w) const {
-  w.WriteBool(active_.has_value());
-  if (active_.has_value()) {
-    w.WriteI64(active_->update_id);
-    w.WriteI32(active_->update_source);
-    w.WritePartialDelta(active_->dv);
-    w.WritePartialDelta(active_->temp);
-    w.WriteBool(active_->left_phase);
-    w.WriteI32(active_->j);
-    w.WriteI64(active_->outstanding_query);
-  }
-  w.WriteI64(compensations_);
-}
-
-void SweepWarehouse::DeserializeAlgState(CheckpointReader& r) {
-  active_.reset();
-  if (r.ReadBool()) {
-    ActiveSweep sweep;
-    sweep.update_id = r.ReadI64();
-    sweep.update_source = r.ReadI32();
-    sweep.dv = r.ReadPartialDelta();
-    sweep.temp = r.ReadPartialDelta();
-    sweep.left_phase = r.ReadBool();
-    sweep.j = r.ReadI32();
-    sweep.outstanding_query = r.ReadI64();
-    active_ = std::move(sweep);
-  }
-  compensations_ = r.ReadI64();
-}
-
 }  // namespace sweepmv

@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "common/snapshot.h"
 #include "core/warehouse.h"
 
 namespace sweepmv {
@@ -58,6 +57,14 @@ class SweepWarehouse : public Warehouse {
   // Number of local compensations performed (error terms subtracted).
   int64_t compensations() const { return compensations_; }
 
+  // The algorithm half of the state list (common/state.h).
+  template <class Self, class V>
+  static void VisitState(Self& self, V& v) {
+    v.Protocol("active_", self.active_);
+    v.Fixed("local_compensation_", self.local_compensation_);
+    v.Protocol("compensations_", self.compensations_);
+  }
+
  protected:
   void HandleUpdateArrival() override;
   void HandleQueryAnswer(QueryAnswer answer) override;
@@ -74,6 +81,17 @@ class SweepWarehouse : public Warehouse {
     int64_t outstanding_query = -1;
 
     bool operator==(const ActiveSweep&) const = default;
+
+    template <class Self, class V>
+    static void VisitState(Self& self, V& v) {
+      v.Protocol("update_id", self.update_id);
+      v.Protocol("update_source", self.update_source);
+      v.Protocol("dv", self.dv);
+      v.Protocol("temp", self.temp);
+      v.Protocol("left_phase", self.left_phase);
+      v.Protocol("j", self.j);
+      v.Protocol("outstanding_query", self.outstanding_query);
+    }
   };
 
   // Pops the next update and starts its ViewChange if idle.
@@ -82,20 +100,15 @@ class SweepWarehouse : public Warehouse {
   void Advance();
   void Finish();
 
-  // Snapshot/restore: everything mutable above (options are immutable).
-  struct Saved {
-    std::optional<ActiveSweep> active;
-    int64_t compensations = 0;
-  };
-  std::shared_ptr<const AlgState> SaveAlgState() const override;
-  void RestoreAlgState(const AlgState& state) override;
-  void CaptureUndoAlgState(UndoLog& undo) override;
-  void SerializeAlgState(CheckpointWriter& w) const override;
-  void DeserializeAlgState(CheckpointReader& r) override;
+  void VisitAlgState(const AlgVisitor& v) override {
+    v.Visit(*this, "SweepWarehouse");
+  }
+  void VisitAlgState(const ConstAlgVisitor& v) const override {
+    v.Visit(*this, "SweepWarehouse");
+  }
 
   std::optional<ActiveSweep> active_;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "compensation on/off is an experiment knob, fixed at construction")
+  // Experiment knob, fixed at construction.
   bool local_compensation_ = true;
   int64_t compensations_ = 0;
 };

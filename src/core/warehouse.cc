@@ -49,94 +49,17 @@ void Warehouse::CaptureUndo(bool full) {
   // Effect atoms name the *declaring* class — the same resolution the
   // static effects pass uses — so the soundness oracle compares like with
   // like (src/verify/effects.h, tools/sweeplint/effects.py).
-  const int s = site_id_;
-  undo_->CaptureValue(&view_, {"Warehouse", "view_", s});
-  undo_->CaptureValue(&queue_, {"Warehouse", "queue_", s});
-  if (full) {
-    // Crash/recovery clears and rebuilds the logs from the checkpoint, so
-    // truncate-to-length would restore the wrong content.
-    undo_->CaptureValue(&arrival_log_, {"Warehouse", "arrival_log_", s});
-    undo_->CaptureValue(&installs_, {"Warehouse", "installs_", s});
-    undo_->CaptureValue(&install_time_log_,
-                        {"Warehouse", "install_time_log_", s});
-    undo_->CaptureValue(&foreign_skip_log_,
-                        {"Warehouse", "foreign_skip_log_", s});
-  } else {
-    undo_->CaptureTail(&arrival_log_, {"Warehouse", "arrival_log_", s});
-    undo_->CaptureTail(&installs_, {"Warehouse", "installs_", s});
-    undo_->CaptureTail(&install_time_log_,
-                       {"Warehouse", "install_time_log_", s});
-    undo_->CaptureTail(&foreign_skip_log_,
-                       {"Warehouse", "foreign_skip_log_", s});
-  }
-  undo_->CaptureValue(&updates_incorporated_,
-                      {"Warehouse", "updates_incorporated_", s});
-  undo_->CaptureValue(&queries_sent_, {"Warehouse", "queries_sent_", s});
-  undo_->CaptureValue(&next_query_id_, {"Warehouse", "next_query_id_", s});
-  undo_->CaptureValue(&update_watermarks_,
-                      {"Warehouse", "update_watermarks_", s});
-  undo_->CaptureValue(&seen_update_ids_,
-                      {"Warehouse", "seen_update_ids_", s});
-  undo_->CaptureValue(&pending_queries_,
-                      {"Warehouse", "pending_queries_", s});
-  undo_->CaptureValue(&duplicate_updates_ignored_,
-                      {"Warehouse", "duplicate_updates_ignored_", s});
-  undo_->CaptureValue(&stale_answers_ignored_,
-                      {"Warehouse", "stale_answers_ignored_", s});
-  undo_->CaptureValue(&queries_reissued_,
-                      {"Warehouse", "queries_reissued_", s});
-  undo_->CaptureValue(&foreign_updates_discarded_,
-                      {"Warehouse", "foreign_updates_discarded_", s});
-  undo_->CaptureValue(&durable_checkpoint_,
-                      {"Warehouse", "durable_checkpoint_", s});
-  undo_->CaptureValue(&durable_wal_, {"Warehouse", "durable_wal_", s});
-  undo_->CaptureValue(&durable_epoch_, {"Warehouse", "durable_epoch_", s});
-  undo_->CaptureValue(&epoch_, {"Warehouse", "epoch_", s});
-  undo_->CaptureValue(&crashed_, {"Warehouse", "crashed_", s});
-  undo_->CaptureValue(&recovering_, {"Warehouse", "recovering_", s});
-  undo_->CaptureValue(&timer_gen_, {"Warehouse", "timer_gen_", s});
-  undo_->CaptureValue(&recoveries_, {"Warehouse", "recoveries_", s});
-  undo_->CaptureValue(&wal_replayed_, {"Warehouse", "wal_replayed_", s});
-  undo_->CaptureValue(&checkpoints_taken_,
-                      {"Warehouse", "checkpoints_taken_", s});
-  undo_->CaptureValue(&checkpoint_bytes_max_,
-                      {"Warehouse", "checkpoint_bytes_max_", s});
-  undo_->CaptureValue(&pre_epoch_answers_ignored_,
-                      {"Warehouse", "pre_epoch_answers_ignored_", s});
-  undo_->CaptureValue(&max_query_attempts_,
-                      {"Warehouse", "max_query_attempts_", s});
-  CaptureUndoAlgState(*undo_);
+  CaptureState(*undo_, *this, "Warehouse", site_id_, full);
 }
 
-void Warehouse::CaptureUndoAlgState(UndoLog&) {
-  SWEEP_CHECK_MSG(false, "this warehouse does not implement undo-log "
-                         "backtracking (CaptureUndoAlgState)");
+void Warehouse::VisitAlgState(const AlgVisitor&) {
+  SWEEP_CHECK_MSG(false, "this warehouse declares no algorithm state list "
+                         "(VisitAlgState)");
 }
 
-void Warehouse::DescribeState(StateHasher& h) const {
-  h.I64("wh.site", site_id_);
-  const std::string protocol = SerializeCheckpoint();
-  h.Bytes("wh.protocol", protocol.data(), protocol.size());
-  h.Bytes("wh.durable_ckpt", durable_checkpoint_.data(),
-          durable_checkpoint_.size());
-  h.U64("wh.wal", durable_wal_.size());
-  for (const Update& u : durable_wal_) {
-    h.I64("wal.id", u.id);
-    h.I64("wal.rel", u.relation);
-    h.I64("wal.at", u.applied_at);
-    AbsorbRelation(h, "wal.delta", u.delta);
-  }
-  h.I64("wh.durable_epoch", durable_epoch_);
-  h.I64("wh.epoch", epoch_);
-  h.Bool("wh.crashed", crashed_);
-  h.Bool("wh.recovering", recovering_);
-  h.I64("wh.timer_gen", timer_gen_);
-  h.I64("wh.recoveries", recoveries_);
-  h.I64("wh.wal_replayed", wal_replayed_);
-  h.I64("wh.checkpoints", checkpoints_taken_);
-  h.I64("wh.ckpt_bytes_max", checkpoint_bytes_max_);
-  h.I64("wh.pre_epoch_ignored", pre_epoch_answers_ignored_);
-  h.I64("wh.max_attempts", max_query_attempts_);
+void Warehouse::VisitAlgState(const ConstAlgVisitor&) const {
+  SWEEP_CHECK_MSG(false, "this warehouse declares no algorithm state list "
+                         "(VisitAlgState)");
 }
 
 void Warehouse::OnMessage(int from, Message msg) {
@@ -263,237 +186,18 @@ bool Warehouse::ResolveSnapshotPart(int64_t query_id, int relation) {
   return true;
 }
 
-Warehouse::SavedState Warehouse::SaveState() const {
-  SavedState state;
-  state.view = view_;
-  state.queue = queue_;
-  state.arrival_log = arrival_log_;
-  state.installs = installs_;
-  state.updates_incorporated = updates_incorporated_;
-  state.queries_sent = queries_sent_;
-  state.next_query_id = next_query_id_;
-  state.update_watermarks = update_watermarks_;
-  state.seen_update_ids = seen_update_ids_;
-  state.pending_queries = pending_queries_;
-  state.duplicate_updates_ignored = duplicate_updates_ignored_;
-  state.stale_answers_ignored = stale_answers_ignored_;
-  state.queries_reissued = queries_reissued_;
-  state.foreign_skip_log = foreign_skip_log_;
-  state.foreign_updates_discarded = foreign_updates_discarded_;
-  state.install_time_log = install_time_log_;
-  state.durable_checkpoint = durable_checkpoint_;
-  state.durable_wal = durable_wal_;
-  state.durable_epoch = durable_epoch_;
-  state.epoch = epoch_;
-  state.crashed = crashed_;
-  state.recovering = recovering_;
-  state.timer_gen = timer_gen_;
-  state.recoveries = recoveries_;
-  state.wal_replayed = wal_replayed_;
-  state.checkpoints_taken = checkpoints_taken_;
-  state.checkpoint_bytes_max = checkpoint_bytes_max_;
-  state.pre_epoch_answers_ignored = pre_epoch_answers_ignored_;
-  state.max_query_attempts = max_query_attempts_;
-  state.alg = SaveAlgState();
-  return state;
-}
-
-void Warehouse::RestoreState(const SavedState& state) {
-  view_ = state.view;
-  queue_ = state.queue;
-  arrival_log_ = state.arrival_log;
-  installs_ = state.installs;
-  updates_incorporated_ = state.updates_incorporated;
-  queries_sent_ = state.queries_sent;
-  next_query_id_ = state.next_query_id;
-  update_watermarks_ = state.update_watermarks;
-  seen_update_ids_ = state.seen_update_ids;
-  pending_queries_ = state.pending_queries;
-  duplicate_updates_ignored_ = state.duplicate_updates_ignored;
-  stale_answers_ignored_ = state.stale_answers_ignored;
-  queries_reissued_ = state.queries_reissued;
-  foreign_skip_log_ = state.foreign_skip_log;
-  foreign_updates_discarded_ = state.foreign_updates_discarded;
-  install_time_log_ = state.install_time_log;
-  durable_checkpoint_ = state.durable_checkpoint;
-  durable_wal_ = state.durable_wal;
-  durable_epoch_ = state.durable_epoch;
-  epoch_ = state.epoch;
-  crashed_ = state.crashed;
-  recovering_ = state.recovering;
-  timer_gen_ = state.timer_gen;
-  recoveries_ = state.recoveries;
-  wal_replayed_ = state.wal_replayed;
-  checkpoints_taken_ = state.checkpoints_taken;
-  checkpoint_bytes_max_ = state.checkpoint_bytes_max;
-  pre_epoch_answers_ignored_ = state.pre_epoch_answers_ignored;
-  max_query_attempts_ = state.max_query_attempts;
-  SWEEP_CHECK(state.alg != nullptr);
-  RestoreAlgState(*state.alg);
-}
-
-std::shared_ptr<const Warehouse::AlgState> Warehouse::SaveAlgState() const {
-  SWEEP_CHECK_MSG(false, "this warehouse does not implement snapshot/"
-                         "restore (SaveAlgState)");
-  return nullptr;
-}
-
-void Warehouse::RestoreAlgState(const AlgState&) {
-  SWEEP_CHECK_MSG(false, "this warehouse does not implement snapshot/"
-                         "restore (RestoreAlgState)");
-}
-
-void Warehouse::SerializeAlgState(CheckpointWriter&) const {
-  SWEEP_CHECK_MSG(false, "this warehouse does not implement durable "
-                         "checkpoints (SerializeAlgState)");
-}
-
-void Warehouse::DeserializeAlgState(CheckpointReader&) {
-  SWEEP_CHECK_MSG(false, "this warehouse does not implement durable "
-                         "checkpoints (DeserializeAlgState)");
-}
-
-// checkpoint-exempt: durable_checkpoint_ durable_wal_ durable_epoch_
-// epoch_ crashed_ recovering_ timer_gen_ recoveries_ wal_replayed_
-// checkpoints_taken_ checkpoint_bytes_max_ pre_epoch_answers_ignored_
-// max_query_attempts_ — the durable store and the recovery machinery's
-// instrumentation survive a crash by definition: a checkpoint captures
-// the protocol state, not the substrate it is stored in or the counters
-// that report on it.
 std::string Warehouse::SerializeCheckpoint() const {
   CheckpointWriter w;
-  w.WriteRelation(view_);
-  w.WriteI64(static_cast<int64_t>(queue_.size()));
-  for (const Update& u : queue_) w.WriteUpdate(u);
-  w.WriteI64(static_cast<int64_t>(arrival_log_.size()));
-  for (const auto& [id, at] : arrival_log_) {
-    w.WriteI64(id);
-    w.WriteI64(at);
-  }
-  w.WriteI64(static_cast<int64_t>(installs_.size()));
-  for (const InstallRecord& record : installs_) {
-    w.WriteI64(record.time);
-    w.WriteI64(static_cast<int64_t>(record.update_ids.size()));
-    for (int64_t id : record.update_ids) w.WriteI64(id);
-    w.WriteRelation(record.view_after);
-    w.WriteBool(record.negative_counts);
-  }
-  w.WriteI64(updates_incorporated_);
-  w.WriteI64(queries_sent_);
-  w.WriteI64(next_query_id_);
-  w.WriteI64(static_cast<int64_t>(update_watermarks_.size()));
-  for (int64_t mark : update_watermarks_) w.WriteI64(mark);
-  // Sorted so identical states serialize to identical bytes.
-  std::vector<int64_t> seen(seen_update_ids_.begin(),
-                            seen_update_ids_.end());
-  std::sort(seen.begin(), seen.end());
-  w.WriteI64(static_cast<int64_t>(seen.size()));
-  for (int64_t id : seen) w.WriteI64(id);
-  w.WriteI64(static_cast<int64_t>(pending_queries_.size()));
-  for (const auto& [query_id, pending] : pending_queries_) {
-    w.WriteI64(query_id);
-    w.WriteRequest(pending.request);
-    w.WriteI32(pending.target_site);
-    w.WriteI32(pending.attempts);
-    w.WriteI32(pending.expected_answers);
-    std::vector<int32_t> parts(pending.relations_seen.begin(),
-                               pending.relations_seen.end());
-    std::sort(parts.begin(), parts.end());
-    w.WriteI64(static_cast<int64_t>(parts.size()));
-    for (int32_t rel : parts) w.WriteI32(rel);
-  }
-  w.WriteI64(duplicate_updates_ignored_);
-  w.WriteI64(stale_answers_ignored_);
-  w.WriteI64(queries_reissued_);
-  w.WriteI64(static_cast<int64_t>(foreign_skip_log_.size()));
-  for (const auto& [id, at] : foreign_skip_log_) {
-    w.WriteI64(id);
-    w.WriteI64(at);
-  }
-  w.WriteI64(foreign_updates_discarded_);
-  w.WriteI64(static_cast<int64_t>(install_time_log_.size()));
-  for (const auto& [id, at] : install_time_log_) {
-    w.WriteI64(id);
-    w.WriteI64(at);
-  }
-  SerializeAlgState(w);
+  StateEncoder<CheckpointWriter> encoder(w);
+  VisitState(*this, encoder);
   return w.Take();
 }
 
 void Warehouse::RestoreFromCheckpoint(const std::string& bytes) {
   CheckpointReader r(bytes);
-  view_ = r.ReadRelation();
-  queue_.clear();
-  const int64_t queued = r.ReadI64();
-  for (int64_t i = 0; i < queued; ++i) queue_.push_back(r.ReadUpdate());
-  arrival_log_.clear();
-  const int64_t arrivals = r.ReadI64();
-  for (int64_t i = 0; i < arrivals; ++i) {
-    const int64_t id = r.ReadI64();
-    const SimTime at = r.ReadI64();
-    arrival_log_.emplace_back(id, at);
-  }
-  installs_.clear();
-  const int64_t installed = r.ReadI64();
-  for (int64_t i = 0; i < installed; ++i) {
-    InstallRecord record;
-    record.time = r.ReadI64();
-    const int64_t ids = r.ReadI64();
-    for (int64_t j = 0; j < ids; ++j) {
-      record.update_ids.push_back(r.ReadI64());
-    }
-    record.view_after = r.ReadRelation();
-    record.negative_counts = r.ReadBool();
-    installs_.push_back(std::move(record));
-  }
-  updates_incorporated_ = r.ReadI64();
-  queries_sent_ = r.ReadI64();
-  next_query_id_ = r.ReadI64();
-  update_watermarks_.clear();
-  const int64_t marks = r.ReadI64();
-  for (int64_t i = 0; i < marks; ++i) {
-    update_watermarks_.push_back(r.ReadI64());
-  }
-  seen_update_ids_.clear();
-  const int64_t seen = r.ReadI64();
-  for (int64_t i = 0; i < seen; ++i) seen_update_ids_.insert(r.ReadI64());
-  pending_queries_.clear();
-  const int64_t pending_count = r.ReadI64();
-  for (int64_t i = 0; i < pending_count; ++i) {
-    const int64_t query_id = r.ReadI64();
-    PendingQuery pending;
-    pending.request = r.ReadRequest();
-    pending.target_site = r.ReadI32();
-    pending.attempts = r.ReadI32();
-    pending.expected_answers = r.ReadI32();
-    const int64_t parts = r.ReadI64();
-    for (int64_t j = 0; j < parts; ++j) {
-      pending.relations_seen.insert(r.ReadI32());
-    }
-    pending_queries_.emplace(query_id, std::move(pending));
-  }
-  duplicate_updates_ignored_ = r.ReadI64();
-  stale_answers_ignored_ = r.ReadI64();
-  queries_reissued_ = r.ReadI64();
-  foreign_skip_log_.clear();
-  const int64_t skips = r.ReadI64();
-  for (int64_t i = 0; i < skips; ++i) {
-    const int64_t id = r.ReadI64();
-    const SimTime at = r.ReadI64();
-    foreign_skip_log_.emplace_back(id, at);
-  }
-  foreign_updates_discarded_ = r.ReadI64();
-  install_time_log_.clear();
-  const int64_t install_times = r.ReadI64();
-  for (int64_t i = 0; i < install_times; ++i) {
-    const int64_t id = r.ReadI64();
-    const SimTime at = r.ReadI64();
-    install_time_log_.emplace_back(id, at);
-  }
-  DeserializeAlgState(r);
-  SWEEP_CHECK_MSG(r.AtEnd(),
-                  "checkpoint not fully consumed on restore — the "
-                  "serializer and deserializer disagree");
+  StateDecoder<CheckpointReader> decoder(r);
+  VisitState(*this, decoder);
+  SWEEP_CHECK_MSG(r.AtEnd(), "checkpoint not fully consumed on restore");
 }
 
 void Warehouse::TakeCheckpoint() {

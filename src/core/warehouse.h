@@ -34,8 +34,7 @@
 #include <memory>
 
 #include "common/check.h"
-#include "common/fingerprint.h"
-#include "common/snapshot.h"
+#include "common/state.h"
 #include "common/undo.h"
 #include "core/checkpoint.h"
 #include "relational/partial_delta.h"
@@ -60,6 +59,14 @@ struct InstallRecord {
   bool negative_counts = false;
 
   bool operator==(const InstallRecord&) const = default;
+
+  template <class Self, class V>
+  static void VisitState(Self& self, V& v) {
+    v.Protocol("time", self.time);
+    v.Protocol("update_ids", self.update_ids);
+    v.Protocol("view_after", self.view_after);
+    v.Protocol("negative_counts", self.negative_counts);
+  }
 };
 
 class Warehouse : public Site {
@@ -244,9 +251,8 @@ class Warehouse : public Site {
   int64_t max_query_attempts() const { return max_query_attempts_; }
 
   // The serialized-protocol-state half of the durable store; public so
-  // tests can round-trip it. Covers exactly the SaveState member set
-  // (lint_invariants.py's checkpoint-coverage rule keeps it that way)
-  // plus the algorithm's SerializeAlgState half.
+  // tests can round-trip it. Derived from the state list below: every
+  // Protocol and Log member, the warehouse's and then the algorithm's.
   std::string SerializeCheckpoint() const;
   void RestoreFromCheckpoint(const std::string& bytes);
 
@@ -256,130 +262,77 @@ class Warehouse : public Site {
   // chaos tests assert.
   size_t dedup_state_size() const { return seen_update_ids_.size(); }
 
-  // --- Snapshot/restore (schedule-space explorer) -----------------------
-  //
-  // SaveState copies the algorithm-independent state (view, queues, logs,
-  // dedup and query bookkeeping) and delegates the algorithm-specific
-  // half to the Save/RestoreAlgState virtuals each maintenance algorithm
-  // implements. Restoring rewinds the warehouse to the save point;
-  // combined with the simulator/network/source snapshots this lets the
-  // explorer backtrack to a decision point without replaying the prefix.
-
- private:
-  // Bookkeeping for idempotent query re-issue: remembers the request and
-  // its target site until the answer arrives. The request copy is always
-  // kept, whatever the options: timeout re-issue, recovery's re-issue of
-  // restored in-flight queries, SerializeCheckpoint and the explorer's
-  // state fingerprint all read it. Snapshot requests to a multi-relation
-  // site are answered by several SnapshotAnswers sharing the query id
-  // (one per hosted relation); such a query stays pending until every
-  // expected relation has answered, and `relations_seen` detects
-  // re-delivered parts when a re-issue races the original answers.
-  // (Defined here, ahead of the private section, so SavedState below can
-  // hold a map of them.)
-  struct PendingQuery {
-    Message request;
-    int target_site = -1;
-    int attempts = 1;
-    int expected_answers = 1;
-    std::unordered_set<int> relations_seen;
-
-    bool operator==(const PendingQuery&) const = default;
-  };
-
- public:
-  // Type-erased algorithm-specific half of a warehouse snapshot.
-  struct AlgState {
-    virtual ~AlgState() = default;
-  };
-
-  class SavedState {
-   public:
-    SavedState() = default;
-
-   private:
-    friend class Warehouse;
-    Relation view;
-    std::deque<Update> queue;
-    std::vector<std::pair<int64_t, SimTime>> arrival_log;
-    std::vector<InstallRecord> installs;
-    int64_t updates_incorporated = 0;
-    int64_t queries_sent = 0;
-    int64_t next_query_id = 0;
-    std::vector<int64_t> update_watermarks;
-    std::unordered_set<int64_t> seen_update_ids;
-    std::map<int64_t, PendingQuery> pending_queries;
-    int64_t duplicate_updates_ignored = 0;
-    int64_t stale_answers_ignored = 0;
-    int64_t queries_reissued = 0;
-    std::vector<std::pair<int64_t, SimTime>> foreign_skip_log;
-    int64_t foreign_updates_discarded = 0;
-    std::vector<std::pair<int64_t, SimTime>> install_time_log;
-    std::string durable_checkpoint;
-    std::vector<Update> durable_wal;
-    int64_t durable_epoch = 0;
-    int64_t epoch = 0;
-    bool crashed = false;
-    bool recovering = false;
-    int64_t timer_gen = 0;
-    int64_t recoveries = 0;
-    int64_t wal_replayed = 0;
-    int64_t checkpoints_taken = 0;
-    int64_t checkpoint_bytes_max = 0;
-    int64_t pre_epoch_answers_ignored = 0;
-    int64_t max_query_attempts = 0;
-    std::shared_ptr<const AlgState> alg;
-  };
-  SavedState SaveState() const;
-  void RestoreState(const SavedState& state);
-
-  // --- Undo log + fingerprint (schedule-space explorer) -----------------
-
   // Installs the undo log the mutation entry points capture into (see
   // common/undo.h). Null detaches.
   void AttachUndo(UndoLog* undo) { undo_ = undo; }
 
-  // Absorbs the warehouse state into `h`: the canonical checkpoint bytes
-  // (which cover the SaveState member set plus the algorithm half, with
-  // sorted iteration everywhere) and the checkpoint-exempt durability /
-  // recovery members. Identical in exact and canonical mode.
-  void DescribeState(StateHasher& h) const;
+  // The state list (common/state.h). Snapshot, undo, checkpoint and
+  // fingerprint all derive from it; the algorithm's own list follows
+  // through VisitAlgState. The append-only logs are Log members: undo
+  // truncates them, except on the crash/recovery path, which rebuilds
+  // them from the checkpoint. The durable store and the recovery
+  // machinery's instrumentation are Durable: they survive a crash by
+  // definition, so a checkpoint captures the protocol state, not the
+  // substrate it is stored in or the counters that report on it.
+  template <class Self, class V>
+  static void VisitState(Self& self, V& v) {
+    v.Fixed("site_id_", self.site_id_);
+    v.Fixed("view_def_", self.view_def_);
+    v.Fixed("network_", self.network_);
+    v.Fixed("source_sites_", self.source_sites_);
+    v.Fixed("options_", self.options_);
+    v.Protocol("view_", self.view_);
+    v.Protocol("queue_", self.queue_);
+    v.Log("arrival_log_", self.arrival_log_);
+    v.Log("installs_", self.installs_);
+    v.Protocol("updates_incorporated_", self.updates_incorporated_);
+    v.Protocol("queries_sent_", self.queries_sent_);
+    v.Protocol("next_query_id_", self.next_query_id_);
+    v.Protocol("update_watermarks_", self.update_watermarks_);
+    v.Protocol("seen_update_ids_", self.seen_update_ids_);
+    v.Protocol("pending_queries_", self.pending_queries_);
+    v.Protocol("duplicate_updates_ignored_",
+               self.duplicate_updates_ignored_);
+    v.Protocol("stale_answers_ignored_", self.stale_answers_ignored_);
+    v.Protocol("queries_reissued_", self.queries_reissued_);
+    v.Log("foreign_skip_log_", self.foreign_skip_log_);
+    v.Protocol("foreign_updates_discarded_",
+               self.foreign_updates_discarded_);
+    v.Log("install_time_log_", self.install_time_log_);
+    v.Durable("durable_checkpoint_", self.durable_checkpoint_);
+    v.Durable("durable_wal_", self.durable_wal_);
+    v.Durable("durable_epoch_", self.durable_epoch_);
+    v.Durable("epoch_", self.epoch_);
+    v.Durable("crashed_", self.crashed_);
+    v.Durable("recovering_", self.recovering_);
+    v.Durable("timer_gen_", self.timer_gen_);
+    v.Durable("recoveries_", self.recoveries_);
+    v.Durable("wal_replayed_", self.wal_replayed_);
+    v.Durable("checkpoints_taken_", self.checkpoints_taken_);
+    v.Durable("checkpoint_bytes_max_", self.checkpoint_bytes_max_);
+    v.Durable("pre_epoch_answers_ignored_",
+              self.pre_epoch_answers_ignored_);
+    v.Durable("max_query_attempts_", self.max_query_attempts_);
+    v.Fixed("observer_", self.observer_);
+    v.Fixed("undo_", self.undo_);
+    self.VisitAlgState(v);
+  }
 
  protected:
-  // Algorithm-specific undo hook: value-captures exactly the members
-  // SaveAlgState copies (sweeplint's undo-coverage rule keeps the sets in
-  // sync). The default fails loudly, like SaveAlgState.
-  virtual void CaptureUndoAlgState(UndoLog& undo);
+  // The visitors that cross into an algorithm's list, by constness.
+  using AlgVisitor = AnyStateVisitor<StateRestorer, UndoCapture,
+                                     StateDecoder<CheckpointReader>>;
+  using ConstAlgVisitor =
+      AnyStateVisitor<StateSaver, StateEncoder<CheckpointWriter>,
+                      StateHashVisitor>;
 
-  // Algorithm-specific snapshot hooks. Every maintenance algorithm in
-  // src/core overrides both; the defaults fail loudly so a new algorithm
-  // cannot silently explore with half-restored state. (Restores receive
-  // only AlgState objects their own SaveAlgState produced.)
-  virtual std::shared_ptr<const AlgState> SaveAlgState() const;
-  virtual void RestoreAlgState(const AlgState& state);
-
-  // Durable-checkpoint hooks: the byte-codec counterparts of
-  // Save/RestoreAlgState, covering the same member sets (enforced by
-  // lint_invariants.py's checkpoint-coverage rule). The defaults fail
-  // loudly so an algorithm cannot silently run with a half-durable
-  // warehouse.
-  virtual void SerializeAlgState(CheckpointWriter& w) const;
-  virtual void DeserializeAlgState(CheckpointReader& r);
-
-  // Convenience holder for a subclass's saved members.
-  template <typename T>
-  struct TypedAlgState : AlgState {
-    explicit TypedAlgState(T d) : data(std::move(d)) {}
-    T data;
-  };
-  // Downcast helper for RestoreAlgState implementations.
-  template <typename T>
-  static const T& AlgStateAs(const AlgState& state) {
-    const auto* typed = dynamic_cast<const TypedAlgState<T>*>(&state);
-    SWEEP_CHECK_MSG(typed != nullptr,
-                    "algorithm snapshot type mismatch on restore");
-    return typed->data;
-  }
+  // The algorithm half of the state list. Every maintenance algorithm
+  // overrides both with `v.Visit(*this, "ClassName")`, which visits its
+  // own VisitState (the name labels undo effect atoms); the defaults fail
+  // loudly so a new algorithm cannot silently explore or recover with
+  // half its state.
+  virtual void VisitAlgState(const AlgVisitor& v);
+  virtual void VisitAlgState(const ConstAlgVisitor& v) const;
 
   // Invoked after an update was appended to the queue.
   virtual void HandleUpdateArrival() = 0;
@@ -434,11 +387,38 @@ class Warehouse : public Site {
   int source_site(int rel) const;
 
  private:
-  // Records the SaveState member set into the attached undo log; called
-  // at the top of every mutation entry point. Normal eras record the
-  // append-only logs as truncate-to-length tails; `full` eras (the
-  // crash/recovery path, whose RestoreFromCheckpoint clears and rebuilds
-  // them) value-capture everything. The durable store is always
+  // Bookkeeping for idempotent query re-issue: remembers the request and
+  // its target site until the answer arrives. The request copy is always
+  // kept, whatever the options: timeout re-issue, recovery's re-issue of
+  // restored in-flight queries, SerializeCheckpoint and the explorer's
+  // state fingerprint all read it. Snapshot requests to a multi-relation
+  // site are answered by several SnapshotAnswers sharing the query id
+  // (one per hosted relation); such a query stays pending until every
+  // expected relation has answered, and `relations_seen` detects
+  // re-delivered parts when a re-issue races the original answers.
+  struct PendingQuery {
+    Message request;
+    int target_site = -1;
+    int attempts = 1;
+    int expected_answers = 1;
+    std::unordered_set<int> relations_seen;
+
+    bool operator==(const PendingQuery&) const = default;
+
+    template <class Self, class V>
+    static void VisitState(Self& self, V& v) {
+      v.Protocol("request", self.request);
+      v.Protocol("target_site", self.target_site);
+      v.Protocol("attempts", self.attempts);
+      v.Protocol("expected_answers", self.expected_answers);
+      v.Protocol("relations_seen", self.relations_seen);
+    }
+  };
+
+  // Records the state list into the attached undo log; called at the top
+  // of every mutation entry point. `full` eras (the crash/recovery path,
+  // whose RestoreFromCheckpoint clears and rebuilds the logs) capture the
+  // logs by value instead of by tail. The durable store is always
   // value-captured: TakeCheckpoint truncates the WAL mid-event.
   void CaptureUndo(bool full);
 
@@ -482,17 +462,11 @@ class Warehouse : public Site {
   // Overwrites the epoch stamp of a stored query request.
   static void StampEpoch(Message* request, int64_t epoch);
 
-  SWEEP_SNAPSHOT_EXEMPT("site identity, fixed at construction")
   int site_id_;
-  SWEEP_SNAPSHOT_EXEMPT("view definition is immutable configuration")
   ViewDef view_def_;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "wiring to the network, which snapshots its own channel state")
   Network* network_;
-  SWEEP_SNAPSHOT_EXEMPT("topology (which sites host base relations), fixed "
-                        "at construction")
+  // Topology: which sites host the base relations.
   std::vector<int> source_sites_;
-  SWEEP_SNAPSHOT_EXEMPT("tuning knobs, fixed at construction")
   Options options_;
 
   Relation view_;
@@ -525,9 +499,8 @@ class Warehouse : public Site {
   // The in-sim durable store: what survives a warehouse crash. The
   // checkpoint is cut lazily before the first arrival, then re-cut every
   // checkpoint_every WAL appends; the WAL holds the updates accepted
-  // since. durable_epoch_ lives here conceptually too (it must survive
-  // repeated crashes) but is kept as a plain member for the snapshot
-  // macro's benefit.
+  // since, and durable_epoch_ the incarnation count, which must survive
+  // repeated crashes.
   std::string durable_checkpoint_;
   std::vector<Update> durable_wal_;
   int64_t durable_epoch_ = 0;
@@ -547,14 +520,10 @@ class Warehouse : public Site {
   int64_t checkpoint_bytes_max_ = 0;
   int64_t pre_epoch_answers_ignored_ = 0;
   int64_t max_query_attempts_ = 0;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "observer hook owned by the harness; consumers that accumulate "
-      "state from it (e.g. MaintainedAggregate) are outside the explored "
-      "system by design")
+  // Observer hook owned by the harness; consumers that accumulate state
+  // from it (e.g. MaintainedAggregate) are outside the explored system by
+  // design.
   InstallObserver observer_;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "wiring, not state: the explorer owns the undo log and manages its "
-      "watermarks across backtracks")
   UndoLog* undo_ = nullptr;
 };
 

@@ -119,20 +119,54 @@ void Network::PrecreateLinks(const std::vector<int>& site_ids) {
   }
 }
 
+void HashLeaf(StateHasher& h, const char* tag, const NetworkStats& stats) {
+  for (const auto& cls : stats.by_class) {
+    h.I64(tag, cls.messages);
+    h.I64(tag, cls.payload_tuples);
+  }
+  const NetworkStats::ReliabilityStats& r = stats.reliability;
+  for (int64_t counter :
+       {r.drops_injected, r.partition_drops, r.dups_injected, r.crash_drops,
+        r.retransmissions, r.dups_suppressed, r.acks_sent,
+        r.messages_abandoned}) {
+    h.I64(tag, counter);
+  }
+}
+
 void Network::CaptureUndo() {
   if (undo_ == nullptr) return;
-  undo_->CaptureValue(&stats_, {"Network", "stats_", -1});
-  undo_->CaptureValue(&rng_, {"Network", "rng_", -1});
-  undo_->CaptureValue(&fault_root_, {"Network", "fault_root_", -1});
-  undo_->CaptureValue(&controlled_drops_armed_,
-                      {"Network", "controlled_drops_armed_", -1});
-  // Mirror of RestoreState's link handling: restore surviving channels,
-  // erase links created after the watermark so a replayed first send
-  // re-forks the same per-link RNG from the restored roots.
-  std::map<std::pair<int, int>, Channel> channels;
+  CaptureState(*undo_, *this, "Network", -1);
+}
+
+bool Network::pristine() const {
+  if (default_faults_.has_value()) return false;
   for (const auto& [key, link] : links_) {
-    channels.emplace(key, link.channel);
+    if (link.faults.has_value() || link.session_configured) return false;
   }
+  return true;
+}
+
+Network::LinkChannels::Channels Network::LinkChannels::Save(
+    const Links& links) {
+  Channels channels;
+  for (const auto& [key, link] : links) channels.emplace(key, link.channel);
+  return channels;
+}
+
+void Network::LinkChannels::Restore(Links& links, const Channels& saved) {
+  for (auto it = links.begin(); it != links.end();) {
+    auto channel = saved.find(it->first);
+    if (channel == saved.end()) {
+      it = links.erase(it);
+    } else {
+      it->second.channel = channel->second;
+      ++it;
+    }
+  }
+}
+
+void Network::LinkChannels::Capture(UndoLog& undo, Links& links,
+                                    EffectAtom atom) {
   // The effect probe attributes link mutations to the *sending* site:
   // links_ is keyed (from, to) and only Send() mutates a channel, so the
   // static table binds "links_" atoms to the sender.
@@ -141,50 +175,31 @@ void Network::CaptureUndo() {
            a.last_arrival() != b.last_arrival() ||
            a.rng_state() != b.rng_state();
   };
-  auto probe_channels = channels;
-  undo_->Capture(
-      &links_,
-      [this, channels = std::move(channels)]() {
-        for (auto it = links_.begin(); it != links_.end();) {
-          auto saved = channels.find(it->first);
-          if (saved == channels.end()) {
-            it = links_.erase(it);
-          } else {
-            it->second.channel = saved->second;
-            ++it;
-          }
-        }
-      },
-      [this, changed, channels = std::move(probe_channels)](
+  undo.Capture(
+      &links, [&links, saved = Save(links)]() { Restore(links, saved); },
+      [&links, atom, changed, saved = Save(links)](
           std::vector<EffectAtom>& out) {
-        for (const auto& [key, link] : links_) {
-          auto saved = channels.find(key);
-          if (saved == channels.end() ||
-              changed(link.channel, saved->second)) {
-            out.push_back(EffectAtom{"Network", "links_", key.first});
+        for (const auto& [key, link] : links) {
+          auto channel = saved.find(key);
+          if (channel == saved.end() ||
+              changed(link.channel, channel->second)) {
+            out.push_back(EffectAtom{atom.cls, atom.member, key.first});
           }
         }
       });
 }
 
-void Network::DescribeState(StateHasher& h) const {
-  h.I64("net.drops_armed", controlled_drops_armed_);
-  h.U64("net.rng", rng_.state());
-  h.U64("net.fault_rng", fault_root_.state());
-  h.U64("net.classes", stats_.by_class.size());
-  for (const auto& cls : stats_.by_class) {
-    h.I64("cls.messages", cls.messages);
-    h.I64("cls.tuples", cls.payload_tuples);
+bool Network::LinkChannels::Hash(StateHasher& h, const char* name,
+                                 const Links& links, bool) {
+  h.U64(name, links.size());
+  for (const auto& [key, link] : links) {
+    h.I64(name, key.first);
+    h.I64(name, key.second);
+    h.I64(name, link.channel.messages_sent());
+    h.I64(name, link.channel.last_arrival());
+    h.U64(name, link.channel.rng_state());
   }
-  h.I64("net.ctrl_drops", stats_.reliability.drops_injected);
-  h.U64("net.links", links_.size());
-  for (const auto& [key, link] : links_) {
-    h.I64("link.from", key.first);
-    h.I64("link.to", key.second);
-    h.I64("link.sent", link.channel.messages_sent());
-    h.I64("link.last_arrival", link.channel.last_arrival());
-    h.U64("link.rng", link.channel.rng_state());
-  }
+  return true;
 }
 
 void Network::Send(int from, int to, Message msg) {
@@ -438,40 +453,6 @@ void Network::OnRetransmitTimer(int from, int to, int64_t gen) {
   sim_->Schedule(link.sender.rto(), [this, from, to, gen]() {
     OnRetransmitTimer(from, to, gen);
   });
-}
-
-Network::SavedState Network::SaveState() const {
-  SWEEP_CHECK_MSG(!default_faults_.has_value(),
-                  "network snapshots require pristine links");
-  SavedState state;
-  state.stats = stats_;
-  state.rng = rng_;
-  state.fault_root = fault_root_;
-  state.controlled_drops_armed = controlled_drops_armed_;
-  for (const auto& [key, link] : links_) {
-    SWEEP_CHECK_MSG(!link.faults.has_value() && !link.session_configured,
-                    "network snapshots require pristine links");
-    state.channels.emplace(key, link.channel);
-  }
-  return state;
-}
-
-void Network::RestoreState(const SavedState& state) {
-  stats_ = state.stats;
-  rng_ = state.rng;
-  fault_root_ = state.fault_root;
-  controlled_drops_armed_ = state.controlled_drops_armed;
-  for (auto it = links_.begin(); it != links_.end();) {
-    auto saved = state.channels.find(it->first);
-    if (saved == state.channels.end()) {
-      // Link created after the save point; drop it so a replayed first
-      // send re-forks the same per-link RNG from the restored roots.
-      it = links_.erase(it);
-    } else {
-      it->second.channel = saved->second;
-      ++it;
-    }
-  }
 }
 
 void Network::SetLinkLatency(int from, int to, LatencyModel latency) {

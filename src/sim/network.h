@@ -31,9 +31,8 @@
 #include <utility>
 #include <vector>
 
-#include "common/fingerprint.h"
 #include "common/rng.h"
-#include "common/snapshot.h"
+#include "common/state.h"
 #include "common/undo.h"
 #include "sim/channel.h"
 #include "sim/fault_model.h"
@@ -82,6 +81,9 @@ struct NetworkStats {
 
   bool operator==(const NetworkStats&) const = default;
 };
+
+// Fingerprint leaf for the state lists (common/state.h): every counter.
+void HashLeaf(StateHasher& h, const char* tag, const NetworkStats& stats);
 
 // One observed transmission, reported to the network tap at send time
 // (the arrival instant is already determined then — delivery is
@@ -178,42 +180,36 @@ class Network {
 
   Simulator* simulator() { return sim_; }
 
-  // --- Snapshot/restore (pristine links only) ---------------------------
-  //
-  // Copies the traffic stats, the latency/fault RNG roots, and every
-  // link's channel state (FIFO clamp, message counter, jitter RNG).
-  // Only legal while no link carries a fault model or live session state
-  // — which is exactly the schedule-space explorer's regime (controlled
-  // runs are pristine by construction). Restoring erases links that were
-  // created after the save point, so replayed sends re-derive identical
-  // channel RNGs and arrival times.
-  class SavedState {
-   public:
-    SavedState() = default;
-
-   private:
-    friend class Network;
-    NetworkStats stats;
-    Rng rng{0};
-    Rng fault_root{0};
-    int64_t controlled_drops_armed = 0;
-    std::map<std::pair<int, int>, Channel> channels;
-  };
-  SavedState SaveState() const;
-  void RestoreState(const SavedState& state);
-
-  // --- Undo log + fingerprint (pristine links only) ---------------------
+  // True while no link carries a fault model or live session state — the
+  // schedule-space explorer's regime (controlled runs are pristine by
+  // construction), and the only one the state list below captures whole.
+  bool pristine() const;
 
   // Installs the undo log Send/ArmControlledDrop capture into (see
-  // common/undo.h). Null detaches. Same pristine-links precondition as
-  // SaveState.
+  // common/undo.h). Null detaches. Pristine links only.
   void AttachUndo(UndoLog* undo) { undo_ = undo; }
 
-  // Absorbs the network's SaveState member set into `h` in keyed link
-  // order. Identical in exact and canonical mode: traffic counters and
-  // per-link channel state are order-independent facts about the set of
-  // sends performed, so they canonicalize as-is.
-  void DescribeState(StateHasher& h) const;
+  // The state list (common/state.h), pristine links only. Traffic
+  // counters and per-link channel state are order-independent facts
+  // about the set of sends performed, so the fingerprint takes them
+  // as-is in both modes.
+  template <class Self, class V>
+  static void VisitState(Self& self, V& v) {
+    v.Fixed("sim_", self.sim_);
+    v.Fixed("default_latency_", self.default_latency_);
+    v.Protocol("rng_", self.rng_);
+    v.Protocol("fault_root_", self.fault_root_);
+    v.Fixed("default_faults_", self.default_faults_);
+    v.Fixed("reliability_", self.reliability_);
+    v.Fixed("session_options_", self.session_options_);
+    v.Fixed("sites_", self.sites_);
+    v.Fixed("crashed_", self.crashed_);
+    v.Protocol("links_", self.links_, LinkChannels{});
+    v.Protocol("stats_", self.stats_);
+    v.Protocol("controlled_drops_armed_", self.controlled_drops_armed_);
+    v.Fixed("tap_", self.tap_);
+    v.Fixed("undo_", self.undo_);
+  }
 
  private:
   // Everything the network tracks for one directed link.
@@ -236,10 +232,25 @@ class Network {
     int64_t timer_gen = 0;
   };
 
+  using Links = std::map<std::pair<int, int>, LinkState>;
+
+  // The links' channel state (FIFO clamp, message counter, jitter RNG) is
+  // all a pristine link holds. Restore and undo erase links created after
+  // the save point, so a replayed first send re-forks the same per-link
+  // RNG from the restored roots; the undo probe attributes a link's
+  // changes to its sending site.
+  struct LinkChannels {
+    using Channels = std::map<std::pair<int, int>, Channel>;
+    static Channels Save(const Links& links);
+    static void Restore(Links& links, const Channels& saved);
+    static void Capture(UndoLog& undo, Links& links, EffectAtom atom);
+    static bool Hash(StateHasher& h, const char* name, const Links& links,
+                     bool exact);
+  };
+
   LinkState& LinkFor(int from, int to);
-  // Records the SaveState member set (stats, RNG roots, armed drops,
-  // per-link channels incl. links created later) into the attached undo
-  // log. Called at the top of every controlled-mode mutation entry point.
+  // Records the state list into the attached undo log. Called at the top
+  // of every controlled-mode mutation entry point.
   void CaptureUndo();
   void ConfigureSessionIfNeeded(LinkState& link);
   SessionOptions ResolvedSessionOptions(const LinkState& link) const;
@@ -263,46 +274,23 @@ class Network {
   void ArmRetransmitTimer(LinkState& link, int from, int to);
   void OnRetransmitTimer(int from, int to, int64_t gen);
 
-  SWEEP_SNAPSHOT_EXEMPT(
-      "wiring to the simulator, which snapshots its own clock and queue")
   Simulator* sim_;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "latency configuration, fixed once topology is wired; controlled "
-      "runs never mutate it")
   LatencyModel default_latency_;
   Rng rng_;
   // Independent root so attaching fault models never perturbs the latency
   // streams of existing runs.
   Rng fault_root_;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "SaveState CHECKs no default fault model is armed; controlled "
-      "exploration predates any SetDefaultFaults call")
   std::optional<FaultModel> default_faults_;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "session-layer on/off switch, configuration fixed before the run")
   bool reliability_ = true;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "session-layer tuning knobs, configuration fixed before the run")
   SessionOptions session_options_;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "site registry is topology, not state; every registered site "
-      "snapshots itself through ControlledSystem")
   std::map<int, Site*> sites_;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "crash injection is fault machinery the controlled harness never "
-      "drives — the same pristine-links precondition SaveState CHECKs")
+  // Crash injection is fault machinery controlled runs never drive.
   std::set<int> crashed_;
-  std::map<std::pair<int, int>, LinkState> links_;
+  Links links_;
   NetworkStats stats_;
   // Pending one-shot drops armed by ArmControlledDrop.
   int64_t controlled_drops_armed_ = 0;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "observer hook owned by the harness; outlives and never depends on "
-      "the explored prefix")
   Tap tap_;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "wiring, not state: the explorer owns the undo log and manages its "
-      "watermarks across backtracks")
   UndoLog* undo_ = nullptr;
 };
 

@@ -73,9 +73,7 @@ void Simulator::CaptureUndo() {
   // enumerates; the oracle exempts the Simulator class wholesale (every
   // handler appends events, and channel append order is already the
   // commutativity question the independence relation answers).
-  undo_->CaptureValue(&now_, {"Simulator", "now_", -1});
-  undo_->CaptureValue(&next_seq_, {"Simulator", "next_seq_", -1});
-  undo_->CaptureValue(&pending_, {"Simulator", "pending_", -1});
+  CaptureState(*undo_, *this, "Simulator", -1);
 }
 
 void Simulator::SetScheduler(Scheduler* scheduler) {
@@ -83,22 +81,6 @@ void Simulator::SetScheduler(Scheduler* scheduler) {
   SWEEP_CHECK_MSG(queue_.empty() && pending_.empty() && next_seq_ == 0,
                   "SetScheduler must precede all scheduling");
   scheduler_ = scheduler;
-}
-
-Simulator::SavedState Simulator::SaveState() const {
-  SWEEP_CHECK_MSG(controlled(), "SaveState is controlled-mode only");
-  SavedState state;
-  state.now = now_;
-  state.next_seq = next_seq_;
-  state.pending = pending_;
-  return state;
-}
-
-void Simulator::RestoreState(const SavedState& state) {
-  SWEEP_CHECK_MSG(controlled(), "RestoreState is controlled-mode only");
-  now_ = state.now;
-  next_seq_ = state.next_seq;
-  pending_ = state.pending;
 }
 
 std::vector<size_t> Simulator::ReadyIndices() const {
@@ -137,18 +119,17 @@ std::vector<Scheduler::Candidate> Simulator::Ready() const {
   return ready;
 }
 
-bool Simulator::DescribeState(StateHasher& h, bool exact) const {
-  SWEEP_CHECK_MSG(controlled(), "DescribeState is controlled-mode only");
+bool Simulator::PendingEvents::Hash(StateHasher& h, const char* name,
+                                    const std::vector<Event>& pending,
+                                    bool exact) {
   bool hashable = true;
-  h.I64("sim.now", now_);
   if (exact) {
-    h.I64("sim.next_seq", next_seq_);
     std::vector<const Event*> events;
-    events.reserve(pending_.size());
-    for (const Event& ev : pending_) events.push_back(&ev);
+    events.reserve(pending.size());
+    for (const Event& ev : pending) events.push_back(&ev);
     std::sort(events.begin(), events.end(),
               [](const Event* a, const Event* b) { return a->seq < b->seq; });
-    h.U64("sim.pending", events.size());
+    h.U64(name, events.size());
     for (const Event* ev : events) {
       h.I64("ev.when", ev->when);
       h.I64("ev.seq", ev->seq);
@@ -167,10 +148,10 @@ bool Simulator::DescribeState(StateHasher& h, bool exact) const {
   // content digest. `when` stays in: arrival times feed the controlled
   // clock via now = max(now, when), so they are behavior-relevant.
   std::map<ChannelKey, std::vector<const Event*>> channels;
-  for (const Event& ev : pending_) {
+  for (const Event& ev : pending) {
     channels[KeyOf(ev.label)].push_back(&ev);
   }
-  h.U64("sim.channels", channels.size());
+  h.U64(name, channels.size());
   for (auto& [key, events] : channels) {
     std::sort(events.begin(), events.end(),
               [](const Event* a, const Event* b) {

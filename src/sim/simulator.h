@@ -24,8 +24,7 @@
 #include <queue>
 #include <vector>
 
-#include "common/fingerprint.h"
-#include "common/snapshot.h"
+#include "common/state.h"
 #include "common/undo.h"
 #include "sim/time.h"
 
@@ -75,14 +74,13 @@ class Scheduler {
 };
 
 class Simulator {
-  // Declared before the public section so SavedState can hold events.
   struct Event {
     SimTime when;
     int64_t seq;
     EventLabel label;
     // Content digest of what this event will do (message hash, txn hash,
     // …) for canonical state fingerprints; 0 = undigested, which marks
-    // the whole state as not safely dedupable (see HashState).
+    // the whole state as not safely dedupable (see PendingEvents).
     uint64_t digest = 0;
     std::function<void()> fn;
 
@@ -152,67 +150,53 @@ class Simulator {
     return controlled() ? pending_.size() : queue_.size();
   }
 
-  // --- Snapshot/restore (controlled mode only) --------------------------
-  //
-  // SaveState copies the clock, the sequence counter, and every pending
-  // event (std::function closures are copied; the site/network objects
-  // they point into must be restored alongside — see
-  // ControlledSystem::SaveState). RestoreState rewinds the simulator to
-  // the save point; the schedule-space explorer uses the pair to back-
-  // track to a decision point without replaying the whole prefix.
-  class SavedState {
-   public:
-    SavedState() = default;
-
-   private:
-    friend class Simulator;
-    SimTime now = 0;
-    int64_t next_seq = 0;
-    std::vector<Event> pending;
-  };
-  SavedState SaveState() const;
-  void RestoreState(const SavedState& state);
-
-  // --- Undo log + fingerprint (controlled mode only) --------------------
-
   // Installs the undo log that every subsequent mutation entry point
   // value-captures into (first-touch-per-era; see common/undo.h). Null
   // detaches.
   void AttachUndo(UndoLog* undo) { undo_ = undo; }
 
-  // Absorbs the simulator's state into `h`. `exact` mode (the oracle
-  // dump) includes absolute sequence numbers and orders pending events by
-  // seq; canonical mode (the dedup fingerprint) groups pending events per
-  // FIFO channel with within-channel ordinals and omits seq/next_seq_ so
-  // two interleavings reaching the same logical state digest identically.
-  // Returns false if any pending event lacks a content digest, in which
-  // case the state must not be deduplicated.
-  bool DescribeState(StateHasher& h, bool exact) const;
+  // The state list (common/state.h), meaningful in controlled mode only.
+  // Snapshots copy the clock, the sequence counter and every pending
+  // event (std::function closures are copied; the site/network objects
+  // they point into are restored alongside — see ControlledSystem). The
+  // free-run queue is empty under a scheduler, and the scheduler and the
+  // undo log are the explorer's wiring.
+  template <class Self, class V>
+  static void VisitState(Self& self, V& v) {
+    v.Protocol("now_", self.now_);
+    v.History("next_seq_", self.next_seq_);
+    v.Fixed("queue_", self.queue_);
+    v.Protocol("pending_", self.pending_, PendingEvents{});
+    v.Fixed("scheduler_", self.scheduler_);
+    v.Fixed("undo_", self.undo_);
+  }
 
  private:
+  // Fingerprints the pending events. Exact mode (the oracle dump) orders
+  // them by seq and includes absolute sequence numbers; canonical mode
+  // (the dedup key) groups them per FIFO channel with within-channel
+  // ordinals, so two interleavings reaching the same logical state digest
+  // identically. Returns false if any pending event lacks a content
+  // digest: that state must not be deduplicated.
+  struct PendingEvents {
+    static bool Hash(StateHasher& h, const char* name,
+                     const std::vector<Event>& events, bool exact);
+  };
+
   // Controlled mode: picks the ready set's indices into `pending_`
   // (parallel to the candidate list Ready() builds).
   std::vector<size_t> ReadyIndices() const;
   bool StepControlled();
-  // Records now_/next_seq_/pending_ into the attached undo log. Called at
-  // the top of every controlled-mode mutation entry point.
+  // Records the state list into the attached undo log. Called at the top
+  // of every controlled-mode mutation entry point.
   void CaptureUndo();
 
   SimTime now_ = 0;
   int64_t next_seq_ = 0;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "free-run-mode queue, always empty under a scheduler; SaveState "
-      "CHECKs controlled mode, where every event lives in pending_")
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   // Controlled-mode store (unsorted; the ready-set computation orders it).
   std::vector<Event> pending_;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "wiring, not state: the explorer that drives save/restore owns the "
-      "scheduler and keeps it installed across backtracks")
   Scheduler* scheduler_ = nullptr;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "wiring, not state: the explorer owns the undo log and manages its "
-      "watermarks across backtracks")
   UndoLog* undo_ = nullptr;
 };
 

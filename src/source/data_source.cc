@@ -34,38 +34,32 @@ DataSource::DataSource(int site_id, int relation_index, Relation initial,
   }
 }
 
-void DataSource::CaptureUndo() {
-  if (undo_ == nullptr) return;
-  const int s = site_id_;
-  ids_->CaptureUndo(*undo_);
-  // store_'s indexes are a pure cache over the relation; the custom entry
-  // restores the relation and rebuilds them, exactly like RestoreState.
-  undo_->Capture(
-      &store_,
-      [this, saved = store_.relation()]() { store_.RestoreRelation(saved); },
-      [this, s, saved = store_.relation()](std::vector<EffectAtom>& out) {
-        if (!(store_.relation() == saved)) {
-          out.push_back(EffectAtom{"DataSource", "store_", s});
-        }
+void IndexedStore::Capture(UndoLog& undo, IndexedRelation& store,
+                           EffectAtom atom) {
+  undo.Capture(
+      &store,
+      [&store, saved = store.relation()]() { store.RestoreRelation(saved); },
+      [&store, atom, saved = store.relation()](std::vector<EffectAtom>& out) {
+        if (!(store.relation() == saved)) out.push_back(atom);
       });
-  undo_->CaptureValue(&query_stats_, {"DataSource", "query_stats_", s});
-  undo_->CaptureValue(&log_, {"DataSource", "log_", s});
-  undo_->CaptureValue(&queries_answered_,
-                      {"DataSource", "queries_answered_", s});
-  undo_->CaptureValue(&crashed_, {"DataSource", "crashed_", s});
-  undo_->CaptureValue(&updates_replayed_,
-                      {"DataSource", "updates_replayed_", s});
 }
 
-void DataSource::DescribeState(StateHasher& h) const {
-  h.I64("src.site", site_id_);
-  AbsorbRelation(h, "src.relation", store_.relation());
-  AbsorbStateLog(h, "src.log", log_);
-  h.I64("src.answered", queries_answered_);
-  h.Bool("src.crashed", crashed_);
-  h.I64("src.replayed", updates_replayed_);
-  h.I64("src.probes", query_stats_.index_probes);
-  h.I64("src.scans", query_stats_.scan_fallbacks);
+bool IndexedStore::Hash(StateHasher& h, const char* name,
+                        const IndexedRelation& store, bool) {
+  HashLeaf(h, name, store.relation());
+  return true;
+}
+
+bool DataSource::QueryCounts::Hash(StateHasher& h, const char* name,
+                                   const StorageStats& stats, bool) {
+  h.I64(name, stats.index_probes);
+  h.I64(name, stats.scan_fallbacks);
+  return true;
+}
+
+void DataSource::CaptureUndo() {
+  if (undo_ == nullptr) return;
+  CaptureState(*undo_, *this, "DataSource", site_id_);
 }
 
 int64_t DataSource::ApplyTransaction(const std::vector<UpdateOp>& ops) {
@@ -160,26 +154,6 @@ StorageStats DataSource::storage_stats() const {
   StorageStats stats = store_.stats();
   stats.MergeFrom(query_stats_);
   return stats;
-}
-
-DataSource::SavedState DataSource::SaveState() const {
-  SavedState state;
-  state.relation = store_.relation();
-  state.query_stats = query_stats_;
-  state.log = log_;
-  state.queries_answered = queries_answered_;
-  state.crashed = crashed_;
-  state.updates_replayed = updates_replayed_;
-  return state;
-}
-
-void DataSource::RestoreState(const SavedState& state) {
-  store_.RestoreRelation(state.relation);
-  query_stats_ = state.query_stats;
-  log_ = state.log;
-  queries_answered_ = state.queries_answered;
-  crashed_ = state.crashed;
-  updates_replayed_ = state.updates_replayed;
 }
 
 int64_t DataSource::ApplyInsert(Tuple t) {

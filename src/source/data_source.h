@@ -16,8 +16,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/fingerprint.h"
-#include "common/snapshot.h"
+#include "common/state.h"
 #include "common/undo.h"
 #include "relational/relation.h"
 #include "relational/view_def.h"
@@ -35,20 +34,41 @@ class UpdateIdGenerator {
  public:
   int64_t Next() { return next_++; }
 
-  // Snapshot support: the counter is part of the schedule-determined
-  // system state the explorer rewinds.
-  int64_t SaveState() const { return next_; }
-  void RestoreState(int64_t next) { next_ = next; }
-
-  // Undo support: every site that may advance the counter records it; the
-  // log's first-touch-per-era dedup keeps one entry per watermark span.
-  void CaptureUndo(UndoLog& undo) {
-    undo.CaptureValue(&next_, {"UpdateIdGenerator", "next_", -1});
+  // The counter is schedule-determined system state the explorer
+  // rewinds; ControlledSystem owns it in its list.
+  template <class Self, class V>
+  static void VisitState(Self& self, V& v) {
+    v.Protocol("next_", self.next_);
   }
-  void DescribeState(StateHasher& h) const { h.I64("ids.next", next_); }
 
  private:
   int64_t next_ = 0;
+};
+
+// State-list adapter for a site's pointer to the shared id generator:
+// snapshot and fingerprint take the generator once, from its owner, but
+// every site that may advance it records it at its own entry points (the
+// log's first-touch-per-era dedup keeps one entry per watermark span).
+struct SharedIdGenerator {
+  static void Capture(UndoLog& undo, UpdateIdGenerator* ids, EffectAtom) {
+    CaptureState(undo, *ids, "UpdateIdGenerator", -1);
+  }
+};
+
+// State-list adapter for a site's indexed store: its indexes are a pure
+// cache over the relation, so snapshot and undo keep the relation and
+// restore rebuilds the indexes.
+struct IndexedStore {
+  static Relation Save(const IndexedRelation& store) {
+    return store.relation();
+  }
+  static void Restore(IndexedRelation& store, const Relation& saved) {
+    store.RestoreRelation(saved);
+  }
+  static void Capture(UndoLog& undo, IndexedRelation& store,
+                      EffectAtom atom);
+  static bool Hash(StateHasher& h, const char* name,
+                   const IndexedRelation& store, bool exact);
 };
 
 // Per-source storage-engine knobs.
@@ -118,68 +138,54 @@ class DataSource : public SourceSite {
   // Index maintenance + query-path counters for this site.
   StorageStats storage_stats() const override;
 
-  // --- Snapshot/restore (schedule-space explorer) -----------------------
-  // Copies the durable and volatile site state; restoring rewinds the
-  // source to the save point (indexes are rebuilt from the restored
-  // relation — they are a pure cache).
-  class SavedState {
-   public:
-    SavedState() = default;
-
-   private:
-    friend class DataSource;
-    Relation relation;
-    StorageStats query_stats;
-    StateLog log;
-    int64_t queries_answered = 0;
-    bool crashed = false;
-    int64_t updates_replayed = 0;
-  };
-  SavedState SaveState() const;
-  void RestoreState(const SavedState& state);
-
-  // --- Undo log + fingerprint (schedule-space explorer) -----------------
-
   // Installs the undo log the mutation entry points capture into (see
   // common/undo.h). Null detaches.
   void AttachUndo(UndoLog* undo) { undo_ = undo; }
 
-  // Absorbs the SaveState member set into `h` (sorted relation iteration;
-  // identical in exact and canonical mode).
-  void DescribeState(StateHasher& h) const;
+  // The state list (common/state.h).
+  template <class Self, class V>
+  static void VisitState(Self& self, V& v) {
+    v.Fixed("site_id_", self.site_id_);
+    v.Fixed("relation_index_", self.relation_index_);
+    v.Protocol("store_", self.store_, IndexedStore{});
+    v.Fixed("view_", self.view_);
+    v.Fixed("network_", self.network_);
+    v.Fixed("warehouse_sites_", self.warehouse_sites_);
+    v.Fixed("ids_", self.ids_, SharedIdGenerator{});
+    v.Fixed("storage_options_", self.storage_options_);
+    v.Protocol("query_stats_", self.query_stats_, QueryCounts{});
+    v.Protocol("log_", self.log_);
+    v.Protocol("queries_answered_", self.queries_answered_);
+    v.Protocol("crashed_", self.crashed_);
+    v.Protocol("updates_replayed_", self.updates_replayed_);
+    v.Fixed("undo_", self.undo_);
+  }
 
  private:
-  // Records the SaveState member set into the attached undo log; called
-  // at the top of every mutation entry point.
+  // Fingerprints the probe and scan-fallback counts of the query stats;
+  // matches per probe are query history, not state.
+  struct QueryCounts {
+    static bool Hash(StateHasher& h, const char* name,
+                     const StorageStats& stats, bool exact);
+  };
+
+  // Records the state list into the attached undo log; called at the top
+  // of every mutation entry point.
   void CaptureUndo();
 
-  SWEEP_SNAPSHOT_EXEMPT("site identity, fixed at construction")
   int site_id_;
-  SWEEP_SNAPSHOT_EXEMPT("which base relation this site hosts — topology, "
-                        "fixed at construction")
   int relation_index_;
   IndexedRelation store_;
-  SWEEP_SNAPSHOT_EXEMPT("view definition is immutable configuration, "
-                        "owned by the harness")
   const ViewDef* view_;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "wiring to the network, which snapshots its own channel state")
   Network* network_;
-  SWEEP_SNAPSHOT_EXEMPT("topology, fixed at construction")
   std::vector<int> warehouse_sites_;
-  SWEEP_SNAPSHOT_EXEMPT("shared id generator, snapshotted once by "
-                        "ControlledSystem rather than per site")
   UpdateIdGenerator* ids_;
-  SWEEP_SNAPSHOT_EXEMPT("storage tuning knobs, fixed at construction")
   SourceStorageOptions storage_options_;
   StorageStats query_stats_;
   StateLog log_;
   int64_t queries_answered_ = 0;
   bool crashed_ = false;
   int64_t updates_replayed_ = 0;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "wiring, not state: the explorer owns the undo log and manages its "
-      "watermarks across backtracks")
   UndoLog* undo_ = nullptr;
 };
 

@@ -14,8 +14,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/fingerprint.h"
-#include "common/snapshot.h"
+#include "common/state.h"
 #include "common/undo.h"
 #include "relational/relation.h"
 #include "relational/view_def.h"
@@ -56,29 +55,27 @@ class EcaSource : public SourceSite {
   const StateLog& log(int relation_index) const;
   int64_t queries_answered() const { return queries_answered_; }
 
-  // --- Snapshot/restore (schedule-space explorer) -----------------------
-  class SavedState {
-   public:
-    SavedState() = default;
-
-   private:
-    friend class EcaSource;
-    std::vector<Relation> relations;
-    std::vector<StateLog> logs;
-    int64_t queries_answered = 0;
-  };
-  SavedState SaveState() const;
-  void RestoreState(const SavedState& state);
-
-  // --- Undo log + fingerprint (schedule-space explorer) -----------------
+  // Installs the undo log the mutation entry points capture into (see
+  // common/undo.h). Null detaches.
   void AttachUndo(UndoLog* undo) { undo_ = undo; }
-  // Absorbs the SaveState member set into `h` (sorted relation iteration;
-  // identical in exact and canonical mode).
-  void DescribeState(StateHasher& h) const;
+
+  // The state list (common/state.h).
+  template <class Self, class V>
+  static void VisitState(Self& self, V& v) {
+    v.Fixed("site_id_", self.site_id_);
+    v.Protocol("relations_", self.relations_);
+    v.Fixed("view_", self.view_);
+    v.Fixed("network_", self.network_);
+    v.Fixed("warehouse_site_", self.warehouse_site_);
+    v.Fixed("ids_", self.ids_, SharedIdGenerator{});
+    v.Protocol("logs_", self.logs_);
+    v.Protocol("queries_answered_", self.queries_answered_);
+    v.Fixed("undo_", self.undo_);
+  }
 
  private:
-  // Records the SaveState member set into the attached undo log; called
-  // at the top of every mutation entry point.
+  // Records the state list into the attached undo log; called at the top
+  // of every mutation entry point.
   void CaptureUndo();
 
   // Evaluates one signed term: positions fixed by the term use its deltas,
@@ -86,26 +83,14 @@ class EcaSource : public SourceSite {
   // joined schema (selection/projection are the warehouse's job).
   Relation EvaluateTerm(const EcaTerm& term) const;
 
-  SWEEP_SNAPSHOT_EXEMPT("site identity, fixed at construction")
   int site_id_;
   std::vector<Relation> relations_;
-  SWEEP_SNAPSHOT_EXEMPT("view definition is immutable configuration, "
-                        "owned by the harness")
   const ViewDef* view_;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "wiring to the network, which snapshots its own channel state")
   Network* network_;
-  SWEEP_SNAPSHOT_EXEMPT("destination site id — topology, fixed at "
-                        "construction")
   int warehouse_site_;
-  SWEEP_SNAPSHOT_EXEMPT("shared id generator, snapshotted once by "
-                        "ControlledSystem rather than per site")
   UpdateIdGenerator* ids_;
   std::vector<StateLog> logs_;
   int64_t queries_answered_ = 0;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "wiring, not state: the explorer owns the undo log and manages its "
-      "watermarks across backtracks")
   UndoLog* undo_ = nullptr;
 };
 

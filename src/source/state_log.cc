@@ -25,7 +25,7 @@ int StateLog::IndexOf(int64_t id) const {
   return -1;
 }
 
-void AbsorbStateLog(StateHasher& h, const char* tag, const StateLog& log) {
+void HashLeaf(StateHasher& h, const char* tag, const StateLog& log) {
   h.U64(tag, log.updates().size());
   AbsorbRelation(h, "log.initial", log.initial());
   for (const LoggedUpdate& u : log.updates()) {

@@ -48,10 +48,11 @@ class StateLog {
 
 class StateHasher;
 
-// Absorbs the log (initial snapshot + every logged delta, in log order)
-// into a state fingerprint. Log order is append order — identical for any
-// interleaving that executed the same source-local transactions.
-void AbsorbStateLog(StateHasher& h, const char* tag, const StateLog& log);
+// Fingerprint leaf for the state lists (common/state.h): the initial
+// snapshot and every logged delta, in log order. Log order is append
+// order — identical for any interleaving that executed the same
+// source-local transactions.
+void HashLeaf(StateHasher& h, const char* tag, const StateLog& log);
 
 }  // namespace sweepmv
 

@@ -1,6 +1,7 @@
 #include "source/update.h"
 
 #include "common/check.h"
+#include "common/fingerprint.h"
 #include "common/str.h"
 
 namespace sweepmv {
@@ -11,6 +12,13 @@ bool Update::IsPureDelete() const {
     if (c > 0) return false;
   }
   return true;
+}
+
+void HashLeaf(StateHasher& h, const char* tag, const Update& u) {
+  h.I64(tag, u.id);
+  h.I64(tag, u.relation);
+  h.I64(tag, u.applied_at);
+  HashLeaf(h, tag, u.delta);
 }
 
 std::string Update::ToDisplayString() const {

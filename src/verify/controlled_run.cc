@@ -192,24 +192,16 @@ void ControlledSystem::AttachUndo(UndoLog* undo) {
 
 bool ControlledSystem::HashState(Fp128* fp) const {
   StateHasher h;
-  const bool hashable = sim_.DescribeState(h, /*exact=*/false);
-  network_.DescribeState(h);
-  ids_.DescribeState(h);
-  for (const auto& source : sources_) source->DescribeState(h);
-  if (eca_source_ != nullptr) eca_source_->DescribeState(h);
-  for (const auto& warehouse : warehouses_) warehouse->DescribeState(h);
+  StateHashVisitor visitor(h, /*exact=*/false);
+  VisitState(*this, visitor);
   *fp = h.Digest();
-  return hashable;
+  return visitor.hashable();
 }
 
 std::string ControlledSystem::CanonicalDebugDump() const {
   StateHasher h(/*keep_text=*/true);
-  sim_.DescribeState(h, /*exact=*/true);
-  network_.DescribeState(h);
-  ids_.DescribeState(h);
-  for (const auto& source : sources_) source->DescribeState(h);
-  if (eca_source_ != nullptr) eca_source_->DescribeState(h);
-  for (const auto& warehouse : warehouses_) warehouse->DescribeState(h);
+  StateHashVisitor visitor(h, /*exact=*/true);
+  VisitState(*this, visitor);
   return h.Text();
 }
 
@@ -228,41 +220,19 @@ std::vector<const StateLog*> ControlledSystem::SourceLogs() const {
 }
 
 ControlledSystem::SavedState ControlledSystem::SaveState() const {
+  SWEEP_CHECK_MSG(sim_.controlled() && network_.pristine(),
+                  "snapshots require a controlled simulator and pristine "
+                  "links");
   SavedState state;
-  state.sim = sim_.SaveState();
-  state.network = network_.SaveState();
-  state.next_update_id = ids_.SaveState();
-  state.sources.reserve(sources_.size());
-  for (const auto& source : sources_) {
-    state.sources.push_back(source->SaveState());
-  }
-  if (eca_source_ != nullptr) {
-    state.eca_source = std::make_unique<EcaSource::SavedState>(
-        eca_source_->SaveState());
-  }
-  state.warehouses.reserve(warehouses_.size());
-  for (const auto& warehouse : warehouses_) {
-    state.warehouses.push_back(warehouse->SaveState());
-  }
+  StateSaver saver(&state.members);
+  VisitState(*this, saver);
   return state;
 }
 
 void ControlledSystem::RestoreState(const SavedState& state) {
-  sim_.RestoreState(state.sim);
-  network_.RestoreState(state.network);
-  ids_.RestoreState(state.next_update_id);
-  SWEEP_CHECK(state.sources.size() == sources_.size());
-  for (size_t i = 0; i < sources_.size(); ++i) {
-    sources_[i]->RestoreState(state.sources[i]);
-  }
-  if (eca_source_ != nullptr) {
-    SWEEP_CHECK(state.eca_source != nullptr);
-    eca_source_->RestoreState(*state.eca_source);
-  }
-  SWEEP_CHECK(state.warehouses.size() == warehouses_.size());
-  for (size_t i = 0; i < warehouses_.size(); ++i) {
-    warehouses_[i]->RestoreState(state.warehouses[i]);
-  }
+  StateRestorer restorer(state.members);
+  VisitState(*this, restorer);
+  SWEEP_CHECK(restorer.AtEnd());
 }
 
 ConsistencyReport ControlledSystem::Check() const {

@@ -12,6 +12,7 @@
 #ifndef SWEEPMV_VERIFY_CONTROLLED_RUN_H_
 #define SWEEPMV_VERIFY_CONTROLLED_RUN_H_
 
+#include <any>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -19,7 +20,7 @@
 
 #include "common/fingerprint.h"
 #include "common/rng.h"
-#include "common/snapshot.h"
+#include "common/state.h"
 #include "common/undo.h"
 #include "consistency/checker.h"
 #include "core/factory.h"
@@ -158,33 +159,41 @@ class ControlledSystem {
   // Captures every piece of mutable state in the closed system: the
   // simulator's pending-event set and clock, the network's channels and
   // RNG forks, the update-id generator, each source, and the warehouse
-  // (including its algorithm-specific half). Restoring rewinds *this*
-  // system to the save point in place — the wired sites and their
-  // closures stay valid because they only capture pointers to objects
-  // this system owns. The explorer uses this to backtrack to a decision
-  // point without re-constructing the system and replaying the prefix.
+  // (including its algorithm-specific half) — everything the state list
+  // below reaches. Restoring rewinds *this* system to the save point in
+  // place — the wired sites and their closures stay valid because they
+  // only capture pointers to objects this system owns. The explorer uses
+  // this to backtrack to a decision point without re-constructing the
+  // system and replaying the prefix.
   class SavedState {
    public:
     SavedState() = default;
 
    private:
     friend class ControlledSystem;
-    Simulator::SavedState sim;
-    Network::SavedState network;
-    int64_t next_update_id = 0;
-    std::vector<DataSource::SavedState> sources;
-    std::unique_ptr<EcaSource::SavedState> eca_source;
-    std::vector<Warehouse::SavedState> warehouses;
+    // One member-wise copy per snapshotted member, in list order.
+    std::vector<std::any> members;
   };
   SavedState SaveState() const;
   void RestoreState(const SavedState& state);
 
+  // The state list (common/state.h): the components, each of which lists
+  // its own members. The view definition and the initial bases are the
+  // scenario's configuration; the sources hold their live relations.
+  template <class Self, class V>
+  static void VisitState(Self& self, V& v) {
+    v.Fixed("view_", self.view_);
+    v.Fixed("bases_", self.bases_);
+    v.Protocol("sim_", self.sim_);
+    v.Protocol("network_", self.network_);
+    v.Protocol("ids_", self.ids_);
+    v.Protocol("sources_", self.sources_);
+    v.Protocol("eca_source_", self.eca_source_);
+    v.Protocol("warehouses_", self.warehouses_);
+  }
+
  private:
-  SWEEP_SNAPSHOT_EXEMPT("scenario's view definition, immutable for the "
-                        "lifetime of the system")
   ViewDef view_;
-  SWEEP_SNAPSHOT_EXEMPT("initial base relations of the scenario; sources "
-                        "snapshot their own live stores")
   std::vector<Relation> bases_;
   Simulator sim_;
   Network network_;
