@@ -2,11 +2,11 @@
 //
 // StateHasher absorbs a tagged stream of integers/bytes into two
 // independently mixed 64-bit lanes (splitmix64-style finalizers with
-// distinct odd multipliers). Every component of the controlled system
-// exposes DescribeState(StateHasher&, exact) feeding this stream from
-// *sorted or keyed* iteration only — never from unordered-container
-// visit order — so the digest of a logical state is identical no matter
-// which interleaving reached it. The explorer keys its visited table on
+// distinct odd multipliers). The controlled system feeds it from the
+// state lists (common/state.h, StateHashVisitor) through *sorted or
+// keyed* iteration only — never from unordered-container visit order —
+// so the digest of a logical state is identical no matter which
+// interleaving reached it. The explorer keys its visited table on
 // the resulting Fp128 (see docs/verification.md, "State-space
 // deduplication": collision policy and the verify_on_hit debug mode).
 //

@@ -4,9 +4,9 @@
 // snapshot instead of replaying the schedule prefix. That is only sound
 // if a restored system continues *byte-identically* to one that never
 // detoured — for every maintenance algorithm, including the
-// algorithm-specific warehouse state the Save/RestoreAlgState virtuals
-// carry. These tests pin that property directly, independent of the
-// explorer built on top of it.
+// algorithm-specific half of the warehouse's state list. These tests pin
+// that property directly, independent of the explorer built on top of
+// it.
 
 #include <gtest/gtest.h>
 

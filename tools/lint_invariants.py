@@ -8,7 +8,7 @@ depend on. It is deliberately regex-based and conservative: zero
 dependencies, runs as a tier-1 ctest, and every suppression is an inline
 annotation that must carry a rationale. (Its semantic counterpart,
 tools/sweeplint/, checks the declaration-level invariants regexes cannot
-see: snapshot completeness, unordered-iteration sinks, event labels.)
+see: state-list inventory, unordered-iteration sinks, event labels.)
 
 Rules
 -----
@@ -34,14 +34,6 @@ unordered-arrival
     ordering, the explorer's independence relation — assumes FIFO per
     link, so any use outside sim/channel.* must be annotated with why
     reordering is intended there.
-
-checkpoint-coverage (moved)
-    The structural SaveState↔SerializeCheckpoint coverage rule now lives
-    in sweeplint (tools/sweeplint/ckpt.py), where it runs on the shared
-    semantic member model both frontends produce instead of this file's
-    regex/brace heuristics. The `// checkpoint-exempt: member_ ... —
-    rationale` block grammar is unchanged; sweeplint parses the same
-    blocks. Run `tools/sweeplint/sweeplint.py` to evaluate it.
 
 raw-thread
     The simulator is single-threaded by design: all concurrency in the

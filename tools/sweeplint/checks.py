@@ -1,36 +1,21 @@
 """The sweeplint checks, over the frontend-neutral model.
 
-This module owns the three original declaration-level checks and the
-check registry; the v2 dataflow checks live beside it and are dispatched
-from run_checks() here: determinism-taint (taint.py, nondeterminism
-source->sink dataflow), protocol-guard (guards.py, epoch filtering /
-send-handle pairing / stride stamping) and checkpoint-coverage (ckpt.py,
-durable serializer vs in-sim snapshot parity, ported from
-tools/lint_invariants.py onto the shared member model).
+This module owns the declaration-level checks and the check registry;
+the dataflow checks live beside it and are dispatched from run_checks()
+here: determinism-taint (taint.py, nondeterminism source->sink
+dataflow), protocol-guard (guards.py, epoch filtering / send-handle
+pairing / stride stamping) and effect-bounds (effects.py).
 
-snapshot-completeness
-    Every class exposing a SaveState/RestoreState (or SaveAlgState/
-    RestoreAlgState) pair must account for every non-static data member:
-    captured — its identifier appears in BOTH the save and the restore
-    body — or annotated SWEEP_SNAPSHOT_EXEMPT("why") with a rationale.
-    A member captured on one side only, an exemption on a member that is
-    in fact captured, and an unpaired save/restore are each their own
-    diagnostic. This is the machine-checked form of the invariant the
-    prefix-sharing explorer (PR 4) rests on: a restore that silently
-    forgets a member corrupts every verdict downstream of the backtrack.
-
-undo-coverage
-    The snapshot-completeness invariant, extended to the undo-log
-    backtracking engine: in a class that defines a CaptureUndo or
-    CaptureUndoAlgState recorder, every snapshot-captured member must
-    also appear in a recorder body — the undo log can only roll back
-    what was recorded, so a skipped member silently survives rollback
-    with a stale value — or carry SWEEP_UNDO_EXEMPT("why"). A stale
-    undo exemption on a member the recorder does capture, and a bare
-    rationale, are each their own diagnostic. Classes without a
-    recorder are out of scope (they back-track by full snapshot only,
-    e.g. ControlledSystem, which delegates to its components'
-    recorders).
+state-inventory
+    Every class or struct with a state list (a VisitState body, see
+    src/common/state.h) must list each of its non-static data members
+    exactly once. Snapshot, undo capture, the checkpoint codec and the
+    fingerprint are all derived from the list, so a member missing from
+    it is silently skipped by every one of them — the failure that
+    corrupts explorer verdicts after the first backtrack and loses state
+    across a warehouse crash. A member listed twice would be saved,
+    restored and encoded twice. Tags are not judged here: Fixed is the
+    explicit way to keep a member away from every mechanism.
 
 unordered-iteration
     A range-for over a std::unordered_map/unordered_set whose loop feeds
@@ -57,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from model import (
     MIN_RATIONALE_LEN,
-    ClassInfo,
+    STATE_LIST_METHOD,
     Diagnostic,
     Method,
     Model,
@@ -73,29 +58,26 @@ from tokutil import (
     suppressed as _suppressed,
     unordered_type,
 )
-from ckpt import CHECK_CKPT, CKPT_SCOPE, check_checkpoint_coverage
 from effects import CHECK_EFFECTS, EFFECTS_SCOPE, check_effect_bounds
 from guards import CHECK_GUARD, GUARD_SCOPE, check_protocol_guard
 from taint import CHECK_TAINT, TAINT_SCOPE, check_determinism_taint
 
-CHECK_SNAPSHOT = "snapshot-completeness"
-CHECK_UNDO = "undo-coverage"
+CHECK_STATE = "state-inventory"
 CHECK_UNORDERED = "unordered-iteration"
 CHECK_EVENT_LABEL = "unlabeled-event"
 
 ALL_CHECKS = (
-    CHECK_SNAPSHOT,
-    CHECK_UNDO,
+    CHECK_STATE,
     CHECK_UNORDERED,
     CHECK_EVENT_LABEL,
     CHECK_TAINT,
     CHECK_GUARD,
-    CHECK_CKPT,
     CHECK_EFFECTS,
 )
 
 # Default directory scopes (relative-path prefixes) per check; fixture
 # runs pass scope_all=True instead.
+STATE_SCOPE = ("src/",)
 UNORDERED_SCOPE = ("src/",)
 EVENT_LABEL_SCOPE = ("src/sim/", "src/verify/")
 
@@ -105,8 +87,6 @@ SINK_FUNCTIONS = frozenset(
     {
         "SaveState",
         "RestoreState",
-        "SaveAlgState",
-        "RestoreAlgState",
         "Fingerprint",
         "ToString",
         "ToDisplayString",
@@ -144,10 +124,9 @@ def run_checks(
     scope_all: bool = False,
 ) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
-    if CHECK_SNAPSHOT in checks:
-        diags.extend(check_snapshot_completeness(model))
-    if CHECK_UNDO in checks:
-        diags.extend(check_undo_coverage(model))
+    if CHECK_STATE in checks:
+        scope = None if scope_all else STATE_SCOPE
+        diags.extend(check_state_inventory(model, scope))
     if CHECK_UNORDERED in checks:
         scope = None if scope_all else UNORDERED_SCOPE
         diags.extend(check_unordered_iteration(model, scope))
@@ -160,223 +139,63 @@ def run_checks(
     if CHECK_GUARD in checks:
         scope = None if scope_all else GUARD_SCOPE
         diags.extend(check_protocol_guard(model, scope))
-    if CHECK_CKPT in checks:
-        scope = None if scope_all else CKPT_SCOPE
-        diags.extend(check_checkpoint_coverage(model, scope))
     if CHECK_EFFECTS in checks:
         scope = None if scope_all else EFFECTS_SCOPE
         diags.extend(check_effect_bounds(model, scope))
     return sort_diagnostics(diags)
 
 
-# --- snapshot-completeness --------------------------------------------------
+# --- state-inventory --------------------------------------------------------
 
 
-def check_snapshot_completeness(model: Model) -> List[Diagnostic]:
+def check_state_inventory(
+    model: Model, scope: Optional[Tuple[str, ...]]
+) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
     for name in sorted(model.classes):
         cls = model.classes[name]
-        pairs = cls.snapshot_pairs()
-        if not pairs:
+        entries = cls.state_list()
+        if entries is None or not _in_scope(cls.file, scope):
             continue
-        complete_pairs: List[Tuple[Method, Method, str, str]] = []
-        for save_name, restore_name in pairs:
-            save = cls.methods.get(save_name)
-            restore = cls.methods.get(restore_name)
-            if save is not None and restore is not None:
-                complete_pairs.append((save, restore, save_name, restore_name))
-                continue
-            have, missing = (
-                (save_name, restore_name) if save is not None else
-                (restore_name, save_name)
-            )
-            anchor = save if save is not None else restore
-            if anchor is None:
-                # Both sides only declared (e.g. an interface); the
-                # implementing classes are checked instead.
-                continue
-            diags.append(
-                Diagnostic(
-                    file=anchor.file,
-                    line=anchor.line,
-                    check=CHECK_SNAPSHOT,
-                    message=(
-                        f"class {cls.name} defines {have} but no matching "
-                        f"{missing}; snapshot support must implement both "
-                        "sides"
-                    ),
-                )
-            )
+        body = cls.methods[STATE_LIST_METHOD]
+        listed: Dict[str, List[int]] = {}
+        for entry in entries:
+            listed.setdefault(entry.member, []).append(entry.line)
         for field_name in sorted(cls.fields):
             field = cls.fields[field_name]
             if field.is_static:
                 continue
-            if field.exempt_annotated:
-                rationale = field.exempt_rationale or ""
-                if len(rationale.strip()) < MIN_RATIONALE_LEN:
-                    diags.append(
-                        Diagnostic(
-                            file=field.file,
-                            line=field.line,
-                            check=CHECK_SNAPSHOT,
-                            message=(
-                                f"class {cls.name}: member '{field.name}' is "
-                                "annotated SWEEP_SNAPSHOT_EXEMPT without a "
-                                "rationale (>= "
-                                f"{MIN_RATIONALE_LEN} chars) explaining why "
-                                "it is safe to skip"
-                            ),
-                        )
-                    )
-            if not complete_pairs:
-                continue
-            in_save = any(
-                field.name in save.identifier_set()
-                for save, _, _, _ in complete_pairs
-            )
-            in_restore = any(
-                field.name in restore.identifier_set()
-                for _, restore, _, _ in complete_pairs
-            )
-            captured = any(
-                field.name in save.identifier_set()
-                and field.name in restore.identifier_set()
-                for save, restore, _, _ in complete_pairs
-            )
-            pair_label = "/".join(complete_pairs[0][2:4])
-            if field.exempt_annotated:
-                if captured:
-                    diags.append(
-                        Diagnostic(
-                            file=field.file,
-                            line=field.line,
-                            check=CHECK_SNAPSHOT,
-                            message=(
-                                f"class {cls.name}: member '{field.name}' is "
-                                "annotated SWEEP_SNAPSHOT_EXEMPT but is "
-                                f"captured by {pair_label}; remove the stale "
-                                "exemption"
-                            ),
-                        )
-                    )
-                continue
-            if captured:
-                continue
-            if in_save and not in_restore:
+            lines = listed.get(field_name, [])
+            if not lines:
                 diags.append(
                     Diagnostic(
                         file=field.file,
                         line=field.line,
-                        check=CHECK_SNAPSHOT,
+                        check=CHECK_STATE,
                         message=(
                             f"class {cls.name}: member '{field.name}' is "
-                            f"saved but never restored by {pair_label}; a "
-                            "backtracked exploration would resume with a "
-                            "stale value"
+                            "missing from its state list (VisitState); "
+                            "snapshot, undo, checkpoint and fingerprint "
+                            "would all skip it — list it once, tagged "
+                            "Fixed if no mechanism may touch it"
                         ),
+                        symbol=field.name,
                     )
                 )
-            else:
+            for line in lines[1:]:
                 diags.append(
                     Diagnostic(
-                        file=field.file,
-                        line=field.line,
-                        check=CHECK_SNAPSHOT,
+                        file=body.file,
+                        line=line,
+                        check=CHECK_STATE,
                         message=(
-                            f"class {cls.name}: member '{field.name}' is not "
-                            f"captured by {pair_label}; capture it or "
-                            "annotate it SWEEP_SNAPSHOT_EXEMPT(\"why\") if "
-                            "it is deliberately outside the snapshot"
+                            f"class {cls.name}: member '{field.name}' is "
+                            f"listed {len(lines)} times in its state list "
+                            "(VisitState); list each member exactly once"
                         ),
+                        symbol=field.name,
                     )
                 )
-    return diags
-
-
-
-
-# --- undo-coverage ----------------------------------------------------------
-
-
-def check_undo_coverage(model: Model) -> List[Diagnostic]:
-    """Snapshot-captured members of classes with an undo recorder must be
-    recorded (appear in a CaptureUndo/CaptureUndoAlgState body) or carry
-    SWEEP_UNDO_EXEMPT with a rationale."""
-    diags: List[Diagnostic] = []
-    for name in sorted(model.classes):
-        cls = model.classes[name]
-        recorders = cls.undo_recorders()
-        recorder_ids: set = set()
-        for rec in recorders:
-            recorder_ids |= rec.identifier_set()
-        recorder_label = "/".join(rec.name for rec in recorders)
-        complete_pairs: List[Tuple[Method, Method]] = []
-        for save_name, restore_name in cls.snapshot_pairs():
-            save = cls.methods.get(save_name)
-            restore = cls.methods.get(restore_name)
-            if save is not None and restore is not None:
-                complete_pairs.append((save, restore))
-        for field_name in sorted(cls.fields):
-            field = cls.fields[field_name]
-            if field.is_static:
-                continue
-            if field.undo_exempt_annotated:
-                rationale = field.undo_exempt_rationale or ""
-                if len(rationale.strip()) < MIN_RATIONALE_LEN:
-                    diags.append(
-                        Diagnostic(
-                            file=field.file,
-                            line=field.line,
-                            check=CHECK_UNDO,
-                            message=(
-                                f"class {cls.name}: member '{field.name}' "
-                                "is annotated SWEEP_UNDO_EXEMPT without a "
-                                "rationale (>= "
-                                f"{MIN_RATIONALE_LEN} chars) explaining why "
-                                "rollback may skip it"
-                            ),
-                        )
-                    )
-            if not recorders:
-                continue
-            captured = any(
-                field.name in save.identifier_set()
-                and field.name in restore.identifier_set()
-                for save, restore in complete_pairs
-            )
-            recorded = field.name in recorder_ids
-            if field.undo_exempt_annotated:
-                if recorded:
-                    diags.append(
-                        Diagnostic(
-                            file=field.file,
-                            line=field.line,
-                            check=CHECK_UNDO,
-                            message=(
-                                f"class {cls.name}: member '{field.name}' "
-                                "is annotated SWEEP_UNDO_EXEMPT but is "
-                                f"recorded by {recorder_label}; remove the "
-                                "stale exemption"
-                            ),
-                        )
-                    )
-                continue
-            if not captured or recorded:
-                continue
-            diags.append(
-                Diagnostic(
-                    file=field.file,
-                    line=field.line,
-                    check=CHECK_UNDO,
-                    message=(
-                        f"class {cls.name}: member '{field.name}' is "
-                        "snapshot-captured but never recorded by "
-                        f"{recorder_label}; an undo-log rollback would "
-                        "leave it stale — record it or annotate it "
-                        "SWEEP_UNDO_EXEMPT(\"why\")"
-                    ),
-                )
-            )
     return diags
 
 

@@ -27,8 +27,8 @@ protocol classes only: the Warehouse hierarchy, the source sites
 and the shard router. Transient helpers (Relation, CheckpointWriter,
 Rng, ...) are not tracked as objects — a call like `store_.Merge(delta)`
 is classified as a write *of the member holding them* instead. Members
-carrying SWEEP_SNAPSHOT_EXEMPT (wiring and immutable configuration) are
-not state and produce no atoms.
+their class's state list tags Fixed (wiring and immutable configuration)
+are not state and produce no atoms.
 
 Kinds:
   read   — the handler's behavior may depend on the member's value
@@ -61,6 +61,7 @@ import dataclasses
 from typing import Dict, List, Optional, Set, Tuple
 
 from model import (
+    CHECKPOINT_TAGS,
     MIN_RATIONALE_LEN,
     Diagnostic,
     Method,
@@ -90,12 +91,20 @@ EFFECTS_SCOPE = ("src/",)
 _PERSISTENT_BASES = ("Warehouse", "SourceSite")
 _PERSISTENT_EXTRA = ("Network", "UpdateIdGenerator", "ShardRouter")
 
-# Methods whose bodies are undo/describe instrumentation: they mention
-# (take the address of) every member by design and must not be scanned
-# as effects.
+# The state-list entry points (src/common/state.h): the lists mention
+# every member by design, and undo capture records them all at the top
+# of each handler, so none of them is scanned as an effect.
 _INSTRUMENTATION_METHODS = frozenset(
-    {"CaptureUndo", "CaptureUndoAlgState", "DescribeState"}
+    {"CaptureUndo", "VisitState", "VisitAlgState"}
 )
+
+# The checkpoint codec derived from the state lists, modeled from the
+# lists themselves: serializing reads, and restoring writes, every
+# checkpointed member of the warehouse and of its algorithm.
+_CHECKPOINT_CODEC = {
+    "SerializeCheckpoint": "read",
+    "RestoreFromCheckpoint": "write",
+}
 
 # Container/object methods that cannot mutate their receiver. A member
 # receiving any call outside this set is conservatively written.
@@ -200,7 +209,7 @@ class _EffCtx:
         self.persistent = persistent
 
         # Per-class field tables over the full base chain:
-        # member name -> (declaring class, type text, exempt).
+        # member name -> (declaring class, type text, Fixed-tagged).
         self.chain_fields: Dict[str, Dict[str, Tuple[str, str, bool]]] = {}
         for name in sorted(model.classes):
             table: Dict[str, Tuple[str, str, bool]] = {}
@@ -208,9 +217,11 @@ class _EffCtx:
                 cls = model.classes.get(cls_name)
                 if cls is None:
                     continue
+                tags = cls.state_tags()
                 for f in cls.fields.values():
                     table.setdefault(
-                        f.name, (cls_name, f.type_text, f.exempt_annotated)
+                        f.name,
+                        (cls_name, f.type_text, tags.get(f.name) == "Fixed"),
                     )
             self.chain_fields[name] = table
 
@@ -275,7 +286,20 @@ class _EffCtx:
             return _intrinsic_send()
         if method in _INSTRUMENTATION_METHODS:
             return EffSummary()
+        if method in _CHECKPOINT_CODEC:
+            return self.checkpoint_codec(context, _CHECKPOINT_CODEC[method])
         return self.summaries.get((context, method))
+
+    def checkpoint_codec(self, context: str, kind: str) -> EffSummary:
+        atoms = set()
+        for cls_name in base_chain(self.model, context):
+            cls = self.model.classes.get(cls_name)
+            if cls is None or cls_name not in self.persistent:
+                continue
+            for entry in cls.state_list() or []:
+                if entry.tag in CHECKPOINT_TAGS:
+                    atoms.add((cls_name, entry.member, kind))
+        return EffSummary(atoms=frozenset(atoms))
 
 
 # --- body scan --------------------------------------------------------------

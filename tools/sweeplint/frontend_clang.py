@@ -3,11 +3,9 @@
 Lowers real clang ASTs — parsed with the exact flags recorded in
 compile_commands.json — into the shared semantic model (model.py).
 Compared to the bundled micro frontend this sees code after
-preprocessing: macro-generated members, conditional compilation, and the
-[[clang::annotate("sweeplint:snapshot-exempt:<why>")]] attributes that
-SWEEP_SNAPSHOT_EXEMPT expands to under clang. Both frontends feed the
-same checks, and the golden fixture suite pins that their diagnostics
-stay byte-identical.
+preprocessing: macro-generated members and conditional compilation.
+Both frontends feed the same checks, and the golden fixture suite pins
+that their diagnostics stay byte-identical.
 
 Requires the clang.cindex python bindings (Debian/Ubuntu:
 python3-clang + libclang1). available() reports whether a usable
@@ -25,7 +23,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from model import (
     ALLOW_MARKER,
-    EXEMPT_ANNOTATION_PREFIX,
     ClassInfo,
     Field,
     Method,
@@ -115,7 +112,6 @@ def _scan_comments(rel: str, text: str, model: Model) -> None:
     AST)."""
     allows = model.allows.setdefault(rel, {})
     comments = model.comment_lines.setdefault(rel, set())
-    comment_text = model.comment_text.setdefault(rel, {})
     in_block = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -145,7 +141,6 @@ def _scan_comments(rel: str, text: str, model: Model) -> None:
         m = _ALLOW_RE.search(body)
         if m:
             allows[lineno] = (m.group("check"), m.group("rationale").strip())
-        comment_text[lineno] = body.strip()
         if not code_before_comment and stripped:
             comments.add(lineno)
     if not allows:
@@ -159,25 +154,6 @@ def _tokens_of(cursor) -> List[Tuple[str, int]]:
             continue
         toks.append((tok.spelling, tok.location.line))
     return toks
-
-
-def _exemption_of(
-    cursor,
-) -> Tuple[bool, Optional[str], bool, Optional[str]]:
-    """(snapshot_annotated, snapshot_why, undo_annotated, undo_why)."""
-    snap_annotated, snap_why = False, None
-    undo_annotated, undo_why = False, None
-    for child in cursor.get_children():
-        if child.kind != cindex.CursorKind.ANNOTATE_ATTR:
-            continue
-        text = child.spelling or child.displayname or ""
-        if text.startswith(EXEMPT_ANNOTATION_PREFIX):
-            snap_annotated = True
-            snap_why = text[len(EXEMPT_ANNOTATION_PREFIX):]
-        elif text.startswith(UNDO_EXEMPT_ANNOTATION_PREFIX):
-            undo_annotated = True
-            undo_why = text[len(UNDO_EXEMPT_ANNOTATION_PREFIX):]
-    return snap_annotated, snap_why, undo_annotated, undo_why
 
 
 class _TUWalker:
@@ -230,6 +206,7 @@ class _TUWalker:
                 cindex.CursorKind.CONSTRUCTOR,
                 cindex.CursorKind.DESTRUCTOR,
                 cindex.CursorKind.FUNCTION_DECL,
+                cindex.CursorKind.FUNCTION_TEMPLATE,
             ):
                 self._visit_function(child, class_stack)
                 continue
@@ -264,21 +241,17 @@ class _TUWalker:
                     info.bases.append(text)
                 continue
             if child.kind == cindex.CursorKind.FIELD_DECL:
-                annotated, rationale, undo_annotated, undo_rationale = (
-                    _exemption_of(child)
-                )
                 info.fields[child.spelling] = Field(
                     name=child.spelling,
                     type_text=child.type.spelling,
                     file=rel,
                     line=child.location.line,
                     is_static=False,
-                    exempt_rationale=rationale,
-                    exempt_annotated=annotated,
-                    undo_exempt_rationale=undo_rationale,
-                    undo_exempt_annotated=undo_annotated,
                 )
-            elif child.kind == cindex.CursorKind.CXX_METHOD:
+            elif child.kind in (
+                cindex.CursorKind.CXX_METHOD,
+                cindex.CursorKind.FUNCTION_TEMPLATE,
+            ):
                 info.declared_methods[child.spelling] = (
                     child.result_type.spelling
                 )

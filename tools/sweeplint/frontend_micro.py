@@ -13,8 +13,7 @@ statement scanner that tracks namespace/class/brace nesting. Preprocessor
 lines are skipped. The scanner recognizes, at namespace or class scope:
 
   * class/struct definitions (nested ones are keyed "Outer::Inner");
-  * non-static data members, including SWEEP_SNAPSHOT_EXEMPT("( why )")
-    prefixes and brace/equals initializers;
+  * non-static data members, including brace/equals initializers;
   * method declarations (name + return type) and method definitions,
     whose bodies are captured as token streams for the checks.
 
@@ -30,8 +29,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from model import (
     ALLOW_MARKER,
-    EXEMPT_MACRO,
-    UNDO_EXEMPT_MACRO,
     ClassInfo,
     Field,
     Method,
@@ -72,7 +69,6 @@ class ParsedFile:
         self.bodies: List[Method] = []
         self.allows: Dict[int, Tuple[str, str]] = {}
         self.comment_lines: Set[int] = set()
-        self.comment_text: Dict[int, str] = {}
         self.aliases: Dict[str, str] = {}
 
 
@@ -94,10 +90,6 @@ def tokenize(text: str, parsed: ParsedFile) -> List[Token]:
     def note_comment(body: str, start_line: int) -> None:
         for off, part in enumerate(body.split("\n")):
             comment_seen.add(start_line + off)
-            prev = parsed.comment_text.get(start_line + off, "")
-            parsed.comment_text[start_line + off] = (
-                (prev + " " + part).strip() if prev else part.strip()
-            )
             m = _ALLOW_RE.search(part)
             if m:
                 parsed.allows[start_line + off] = (
@@ -385,62 +377,10 @@ def _capture_alias(stmt: List[Token], parsed: ParsedFile) -> None:
         )
 
 
-_EXEMPT_MACROS = (EXEMPT_MACRO, UNDO_EXEMPT_MACRO)
-
-
-def _one_exempt_end(stmt: List[Token], start: int) -> int:
-    """Index just past the exemption macro call opening at `start`."""
-    if start + 1 >= len(stmt) or stmt[start + 1][0] != "(":
-        return start + 1
-    depth = 0
-    for i in range(start + 1, len(stmt)):
-        if stmt[i][0] == "(":
-            depth += 1
-        elif stmt[i][0] == ")":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return len(stmt)
-
-
-def _exempt_prefix_end(stmt: List[Token]) -> int:
-    """Index just past the leading run of SWEEP_SNAPSHOT_EXEMPT(...) /
-    SWEEP_UNDO_EXEMPT(...) calls (either order, both allowed), or 0.
-
-    The macros' own parentheses must not make the statement classifier
-    take a member declaration for a function declaration."""
-    pos = 0
-    while pos < len(stmt) and stmt[pos][0] in _EXEMPT_MACROS:
-        pos = _one_exempt_end(stmt, pos)
-    return pos
-
-
 def _member_from_statement(
     stmt: List[Token], rel_path: str
 ) -> Optional[Field]:
     """Parses a class-scope statement as a data-member declaration."""
-    exempt_rationale: Optional[str] = None
-    exempt_annotated = False
-    undo_exempt_rationale: Optional[str] = None
-    undo_exempt_annotated = False
-    # Consume the leading run of exemption macros (either kind, either
-    # order), collecting each macro's string-literal rationale.
-    while stmt and stmt[0][0] in _EXEMPT_MACROS:
-        macro = stmt[0][0]
-        close = _one_exempt_end(stmt, 0)
-        parts = [
-            t[0][1:-1]
-            for t in stmt[1:close]
-            if t[0].startswith('"') and t[0].endswith('"')
-        ]
-        rationale = "".join(parts)
-        if macro == EXEMPT_MACRO:
-            exempt_annotated = True
-            exempt_rationale = rationale
-        else:
-            undo_exempt_annotated = True
-            undo_exempt_rationale = rationale
-        stmt = stmt[close:]
     if not stmt:
         return None
     is_static = any(t == "static" for t, _ in stmt)
@@ -468,10 +408,6 @@ def _member_from_statement(
         file=rel_path,
         line=line,
         is_static=is_static,
-        exempt_rationale=exempt_rationale,
-        exempt_annotated=exempt_annotated,
-        undo_exempt_rationale=undo_exempt_rationale,
-        undo_exempt_annotated=undo_exempt_annotated,
     )
 
 
@@ -566,15 +502,12 @@ def parse_file(rel_path: str, text: str) -> ParsedFile:
             _capture_alias(stmt, parsed)
             cls = current_class()
             if stmt and cls is not None:
-                # Classify on the tokens past any exemption-macro prefix;
-                # _member_from_statement re-reads the full statement.
-                core = stmt[_exempt_prefix_end(stmt):]
-                first = core[0][0] if core else ""
-                tops = _top_level_indices(core)
-                if not core or first in _SKIP_STMT_STARTERS or first == "enum":
+                first = stmt[0][0]
+                tops = _top_level_indices(stmt)
+                if first in _SKIP_STMT_STARTERS or first == "enum":
                     pass
                 elif tops["("]:
-                    fn = _function_name(core)
+                    fn = _function_name(stmt)
                     if fn is not None:
                         cls.declared_methods[fn[0]] = fn[3]
                 else:
@@ -585,7 +518,7 @@ def parse_file(rel_path: str, text: str) -> ParsedFile:
             i += 1
             continue
         if t == "{":
-            core = stmt[_exempt_prefix_end(stmt):]
+            core = stmt
             first = core[0][0] if core else ""
             tops = _top_level_indices(core)
             has_class_kw = any(
@@ -715,10 +648,6 @@ def model_from_parsed(parsed_files: List[ParsedFile]) -> Model:
         if parsed.comment_lines:
             model.comment_lines.setdefault(parsed.rel_path, set()).update(
                 parsed.comment_lines
-            )
-        if parsed.comment_text:
-            model.comment_text.setdefault(parsed.rel_path, {}).update(
-                parsed.comment_text
             )
         for alias, target in parsed.aliases.items():
             model.aliases.setdefault(alias, target)

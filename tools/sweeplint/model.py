@@ -9,11 +9,12 @@ contributes preprocessed, macro-expanded ground truth about declarations,
 while the analysis itself is frontend-independent.
 
 The model is deliberately token-oriented: a method body is a list of
-(spelling, line) tokens, and "class C captures member m_ in SaveState" is
-defined as "the identifier m_ appears in the token stream of C's
-SaveState body". That definition is what the snapshot-completeness check
-enforces and what the mutation smoke perturbs, so it is part of the
-tool's contract (documented in docs/verification.md).
+(spelling, line) tokens, and "class C lists member m_ with tag T" is
+defined as "C's VisitState body contains a call `v.T(..., self.m_ ...)`"
+(StateEntry, parse_state_list). That definition is what the
+state-inventory check enforces, what the effects pass reads Fixed tags
+from, and what the mutation smoke perturbs, so it is part of the tool's
+contract (documented in docs/verification.md).
 """
 
 from __future__ import annotations
@@ -23,17 +24,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 # Annotation vocabulary ------------------------------------------------------
 
-# Member-level exemption macro (src/common/snapshot.h). Under clang it
-# expands to [[clang::annotate("sweeplint:snapshot-exempt:<why>")]]; the
-# micro frontend reads the macro spelling itself.
-EXEMPT_MACRO = "SWEEP_SNAPSHOT_EXEMPT"
-EXEMPT_ANNOTATION_PREFIX = "sweeplint:snapshot-exempt:"
-
-# Undo-coverage twin (same header): exempts a snapshot-captured member
-# from the CaptureUndo/CaptureUndoAlgState recorder requirement.
-UNDO_EXEMPT_MACRO = "SWEEP_UNDO_EXEMPT"
-UNDO_EXEMPT_ANNOTATION_PREFIX = "sweeplint:undo-exempt:"
-
 # Statement-level suppression comment:  // sweeplint:allow <check> <why>
 # on the offending line or in the contiguous comment block above it.
 ALLOW_MARKER = "sweeplint:allow"
@@ -42,17 +32,13 @@ ALLOW_MARKER = "sweeplint:allow"
 # this many characters to count — same bar as tools/lint_invariants.py.
 MIN_RATIONALE_LEN = 8
 
-# Method-name pairs that mark a class as snapshotted. A class exposing
-# either side of a pair participates in snapshot-completeness.
-SNAPSHOT_METHOD_PAIRS = (
-    ("SaveState", "RestoreState"),
-    ("SaveAlgState", "RestoreAlgState"),
-)
-
-# Undo-log recorder method names. A class defining either with a body
-# participates in undo-coverage: its snapshot-captured members must
-# appear in a recorder's token stream or carry SWEEP_UNDO_EXEMPT.
-UNDO_RECORDER_METHODS = ("CaptureUndo", "CaptureUndoAlgState")
+# State lists (src/common/state.h): a class or struct whose VisitState
+# body lists each non-static data member exactly once, as
+# `v.<Tag>("name", self.member[, Adapter{}]);`.
+STATE_LIST_METHOD = "VisitState"
+STATE_TAGS = ("Protocol", "Log", "Durable", "History", "Fixed")
+# The tags the derived warehouse checkpoint codec writes.
+CHECKPOINT_TAGS = ("Protocol", "Log", "History")
 
 
 @dataclasses.dataclass
@@ -64,15 +50,6 @@ class Field:
     file: str
     line: int
     is_static: bool = False
-    # Rationale string from SWEEP_SNAPSHOT_EXEMPT, or None.
-    exempt_rationale: Optional[str] = None
-    # True when the exemption macro was present (even with a bad
-    # rationale — the checks distinguish "annotated badly" from
-    # "not annotated").
-    exempt_annotated: bool = False
-    # Same pair for SWEEP_UNDO_EXEMPT (undo-coverage check).
-    undo_exempt_rationale: Optional[str] = None
-    undo_exempt_annotated: bool = False
 
 
 @dataclasses.dataclass
@@ -94,6 +71,48 @@ class Method:
         return {t for t, _ in self.tokens if _is_identifier(t)}
 
 
+@dataclasses.dataclass(frozen=True)
+class StateEntry:
+    """One entry of a state list: `v.<tag>("...", self.<member>...)`."""
+
+    tag: str
+    member: str
+    line: int
+
+
+def parse_state_list(body: Method) -> List[StateEntry]:
+    """The entries of a VisitState body, in list order. The member is the
+    identifier after `<receiver> .`, where the receiver is the body's
+    first parameter (`self` by convention)."""
+    receiver = body.params[0] if body.params and body.params[0] else "self"
+    toks = body.tokens
+    entries: List[StateEntry] = []
+    for i in range(1, len(toks) - 1):
+        tag, line = toks[i]
+        if tag not in STATE_TAGS or toks[i - 1][0] != "." or (
+            toks[i + 1][0] != "("
+        ):
+            continue
+        depth = 0
+        for k in range(i + 1, len(toks)):
+            t = toks[k][0]
+            if t == "(":
+                depth += 1
+            elif t == ")":
+                depth -= 1
+                if depth == 0:
+                    break
+            elif (
+                t == receiver
+                and k + 2 < len(toks)
+                and toks[k + 1][0] == "."
+                and _is_identifier(toks[k + 2][0])
+            ):
+                entries.append(StateEntry(tag, toks[k + 2][0], line))
+                break
+    return entries
+
+
 @dataclasses.dataclass
 class ClassInfo:
     """One class/struct definition, merged across the TUs that saw it."""
@@ -111,26 +130,17 @@ class ClassInfo:
     # Method definitions with bodies, keyed by method name.
     methods: Dict[str, Method] = dataclasses.field(default_factory=dict)
 
-    def undo_recorders(self) -> List["Method"]:
-        """The undo-recorder bodies this class defines, if any."""
-        return [
-            self.methods[name]
-            for name in UNDO_RECORDER_METHODS
-            if name in self.methods
-        ]
+    def state_list(self) -> Optional[List[StateEntry]]:
+        """The class's state-list entries, or None without a list."""
+        body = self.methods.get(STATE_LIST_METHOD)
+        return None if body is None else parse_state_list(body)
 
-    def snapshot_pairs(self) -> List[Tuple[str, str]]:
-        """The (save, restore) method pairs this class exposes, if any."""
-        out = []
-        for save, restore in SNAPSHOT_METHOD_PAIRS:
-            if (
-                save in self.declared_methods
-                or restore in self.declared_methods
-                or save in self.methods
-                or restore in self.methods
-            ):
-                out.append((save, restore))
-        return out
+    def state_tags(self) -> Dict[str, str]:
+        """member -> tag of its first entry (empty without a list)."""
+        tags: Dict[str, str] = {}
+        for entry in self.state_list() or []:
+            tags.setdefault(entry.member, entry.tag)
+        return tags
 
 
 @dataclasses.dataclass
@@ -149,12 +159,6 @@ class Model:
     # file -> set of pure-comment line numbers (so a suppression in a
     # comment block above an offending line can be resolved).
     comment_lines: Dict[str, Set[int]] = dataclasses.field(
-        default_factory=dict
-    )
-    # file -> {line -> comment text} (markers stripped). The
-    # checkpoint-coverage check reconstructs `checkpoint-exempt:` blocks
-    # from this; only content matters, not exact whitespace.
-    comment_text: Dict[str, Dict[int, str]] = dataclasses.field(
         default_factory=dict
     )
     # Type-alias name -> underlying type text (`using X = ...;` and

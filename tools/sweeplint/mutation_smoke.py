@@ -6,15 +6,12 @@ check. This script perturbs the real tree in memory (file overlays —
 nothing on disk is touched) and asserts sweeplint reports a diagnostic
 naming the mutated construct:
 
-  drop-capture      delete the capture lines of one captured member from
-                    a Save*/Restore* body (brace-aware, so a loop that
-                    copies the member disappears whole);
-  add-member        insert a new unannotated mutable member into a
-                    snapshotted class;
-  drop-undo-hook    delete one covered member's lines from a CaptureUndo
-                    / CaptureUndoAlgState body — the member is still
-                    snapshot-captured, so undo-coverage must flag the
-                    rollback gap the recorder just grew;
+  drop-list-line    delete one member's entry from a class's state list
+                    (VisitState) — snapshot, undo, checkpoint and
+                    fingerprint would all silently skip the member, so
+                    state-inventory must flag it;
+  add-member        insert a new member into a class with a state list
+                    without listing it;
   drop-epoch-guard  delete one `filter_stale_epochs` if-block from the
                     Warehouse::OnMessage dispatch — every derived
                     handler of that message type must be flagged as able
@@ -43,10 +40,6 @@ naming the mutated construct:
 
 --all sweeps every eligible target of every mode (CI); --seed N mutates
 one pseudo-randomly chosen target per mode (the quick local smoke).
-Eligible drop-capture targets are captured, non-exempt members whose
-save/restore bodies span more than one line (deleting the only line of a
-one-line body would remove the method itself — a different, also-caught
-failure, but not the one this test pins).
 
 Exit 0 when every attempted mutation was caught, 1 otherwise. Under
 --all, additionally fails if fewer than 40 mutations target the v2
@@ -69,14 +62,19 @@ import checks as checks_mod  # noqa: E402
 import effects as effects_mod  # noqa: E402
 import frontend_micro  # noqa: E402
 import guards as guards_mod  # noqa: E402
-from model import Method, Model, base_chain, derived_closure  # noqa: E402
+from model import (  # noqa: E402
+    STATE_LIST_METHOD,
+    Method,
+    Model,
+    base_chain,
+    derived_closure,
+)
 
 PROBE_MEMBER = "sweeplint_mutation_probe_"
 
 ALL_MODES = (
-    "drop-capture",
+    "drop-list-line",
     "add-member",
-    "drop-undo-hook",
     "drop-epoch-guard",
     "drop-handler",
     "drop-stride",
@@ -179,36 +177,14 @@ def _body_line_range(method: Method) -> Tuple[int, int]:
     return (min(lines), max(lines))
 
 
-def _delete_field_lines(
-    text: str, method: Method, field: str
-) -> Optional[str]:
-    """Removes every line inside `method`'s body that mentions `field`,
-    extending over the matching braces when a removed line opens a block
-    (e.g. a for-loop copying a map member). Returns the mutated file text
-    or None if nothing inside the body mentions the field."""
-    first, last = _body_line_range(method)
-    if first == last:
-        return None  # one-line body; deleting it removes the method
+def _delete_statement(text: str, start_line: int) -> str:
+    """Deletes the statement starting at `start_line` (1-based) through
+    the line that ends it with ';'."""
     lines = text.split("\n")
-    word = re.compile(rf"(?<![A-Za-z0-9_]){re.escape(field)}(?![A-Za-z0-9_])")
-    doomed = set()
-    idx = first - 1
-    while idx <= last - 1:
-        line = lines[idx]
-        if not word.search(line):
-            idx += 1
-            continue
-        doomed.add(idx)
-        opened = line.count("{") - line.count("}")
-        while opened > 0 and idx + 1 <= last - 1:
-            idx += 1
-            doomed.add(idx)
-            opened += lines[idx].count("{") - lines[idx].count("}")
-        idx += 1
-    if not doomed:
-        return None
-    kept = [l for k, l in enumerate(lines) if k not in doomed]
-    return "\n".join(kept)
+    end = start_line - 1
+    while end < len(lines) - 1 and not lines[end].rstrip().endswith(";"):
+        end += 1
+    return "\n".join(lines[: start_line - 1] + lines[end + 1 :])
 
 
 def _delete_block(text: str, start_line: int) -> str:
@@ -237,7 +213,7 @@ def _delete_line(text: str, line_no: int) -> str:
 def _insert_probe_member(
     text: str, anchor_line: int
 ) -> str:
-    """Adds an unannotated mutable member right after `anchor_line`
+    """Adds an unlisted mutable member right after `anchor_line`
     (1-based), reusing its indentation."""
     lines = text.split("\n")
     anchor = lines[anchor_line - 1]
@@ -246,129 +222,43 @@ def _insert_probe_member(
     return "\n".join(lines)
 
 
-def discover_snapshot_targets(
+def discover_state_targets(
     files: Dict[str, str], model: Model
 ) -> List[Target]:
+    """Per class with a state list: one drop-list-line target per entry,
+    and one add-member target."""
     targets: List[Target] = []
     for class_name in sorted(model.classes):
         cls = model.classes[class_name]
-        pairs = []
-        for save_name, restore_name in cls.snapshot_pairs():
-            save = cls.methods.get(save_name)
-            restore = cls.methods.get(restore_name)
-            if save is not None and restore is not None:
-                pairs.append((save, restore))
-        if not pairs:
+        entries = cls.state_list()
+        if not entries or not cls.file.startswith("src/"):
             continue
-        if not cls.file.startswith("src/"):
-            continue
-        field_anchor = None
-        for field_name in sorted(cls.fields):
-            field = cls.fields[field_name]
-            if field.is_static or field.exempt_annotated:
-                continue
-            captured_pairs = [
-                (s, r)
-                for s, r in pairs
-                if field_name in s.identifier_set()
-                and field_name in r.identifier_set()
-            ]
-            if not captured_pairs:
-                continue
-            field_anchor = field
-            mutations = []
-            for save, restore in captured_pairs:
-                for method in (save, restore):
-                    mutated = _delete_field_lines(
-                        files[method.file], method, field_name
-                    )
-                    if mutated is not None:
-                        mutations.append((method.file, mutated))
-            if mutations:
-                targets.append(
-                    Target(
-                        "drop-capture",
-                        f"{class_name}.{field_name}",
-                        mutations,
-                        (checks_mod.CHECK_SNAPSHOT,),
-                        [class_name, field_name],
-                    )
+        body = cls.methods[STATE_LIST_METHOD]
+        for entry in entries:
+            targets.append(
+                Target(
+                    "drop-list-line",
+                    f"{class_name}.{entry.member}",
+                    [(body.file,
+                      _delete_statement(files[body.file], entry.line))],
+                    (checks_mod.CHECK_STATE,),
+                    [class_name, entry.member, "missing from its state list"],
                 )
-        if field_anchor is not None:
-            mutated = _insert_probe_member(
-                files[field_anchor.file], field_anchor.line
             )
+        anchor = next(
+            (cls.fields[f] for f in sorted(cls.fields)
+             if not cls.fields[f].is_static),
+            None,
+        )
+        if anchor is not None:
             targets.append(
                 Target(
                     "add-member",
                     f"{class_name}.{PROBE_MEMBER}",
-                    [(field_anchor.file, mutated)],
-                    (checks_mod.CHECK_SNAPSHOT,),
+                    [(anchor.file,
+                      _insert_probe_member(files[anchor.file], anchor.line))],
+                    (checks_mod.CHECK_STATE,),
                     [class_name, PROBE_MEMBER],
-                )
-            )
-    return targets
-
-
-def discover_undo_targets(
-    files: Dict[str, str], model: Model
-) -> List[Target]:
-    """One target per snapshot-captured, undo-recorded member: deleting
-    its lines from every recorder body that mentions it leaves the member
-    captured but unrecorded, which undo-coverage must flag. Unlike
-    drop-capture, the deletions land in one combined overlay — a member
-    recorded by two recorders stays covered until both mentions go."""
-    targets: List[Target] = []
-    for class_name in sorted(model.classes):
-        cls = model.classes[class_name]
-        recorders = cls.undo_recorders()
-        if not recorders or not cls.file.startswith("src/"):
-            continue
-        pairs = []
-        for save_name, restore_name in cls.snapshot_pairs():
-            save = cls.methods.get(save_name)
-            restore = cls.methods.get(restore_name)
-            if save is not None and restore is not None:
-                pairs.append((save, restore))
-        if not pairs:
-            continue
-        for field_name in sorted(cls.fields):
-            field = cls.fields[field_name]
-            if field.is_static or field.undo_exempt_annotated:
-                continue
-            captured = any(
-                field_name in s.identifier_set()
-                and field_name in r.identifier_set()
-                for s, r in pairs
-            )
-            if not captured:
-                continue
-            mentioning = [
-                rec
-                for rec in recorders
-                if field_name in rec.identifier_set()
-            ]
-            if not mentioning:
-                continue  # already a base-tree finding, not a mutation
-            if len({rec.file for rec in mentioning}) > 1:
-                continue  # would need a multi-file overlay
-            # Later bodies first, so earlier deletions don't shift the
-            # line ranges still to be processed.
-            mentioning.sort(key=lambda rec: rec.line, reverse=True)
-            text: Optional[str] = files[mentioning[0].file]
-            for rec in mentioning:
-                text = _delete_field_lines(text, rec, field_name)
-                if text is None:
-                    break  # one-line body; a different failure mode
-            if text is None:
-                continue
-            targets.append(
-                Target(
-                    "drop-undo-hook",
-                    f"{class_name}.{field_name}",
-                    [(mentioning[0].file, text)],
-                    (checks_mod.CHECK_UNDO,),
-                    [class_name, field_name, "never recorded"],
                 )
             )
     return targets
@@ -595,8 +485,7 @@ def discover_hide_write_targets(
 def discover_targets(
     root: Path, files: Dict[str, str], model: Model
 ) -> List[Target]:
-    targets = discover_snapshot_targets(files, model)
-    targets.extend(discover_undo_targets(files, model))
+    targets = discover_state_targets(files, model)
     targets.extend(discover_epoch_guard_targets(files))
     targets.extend(discover_handler_targets(files, model))
     targets.extend(discover_stride_targets(files))

@@ -2,12 +2,13 @@
 """sweeplint — AST-level semantic analyzer for the sweepmv tree.
 
 Where tools/lint_invariants.py pattern-matches lines, sweeplint
-understands declarations: which classes expose snapshot methods, which
-members they have, what a method body references. Three checks (see
-checks.py for the full statements):
+understands declarations: which classes declare a state list, which
+members they have, what a method body references. Declaration-level
+checks (see checks.py for the full statements; the dataflow checks are
+listed by --list-checks):
 
-  snapshot-completeness   every member of a snapshotted class is captured
-                          by Save+Restore or SWEEP_SNAPSHOT_EXEMPT("why")
+  state-inventory         every member of a class with a state list
+                          (VisitState) is listed in it exactly once
   unordered-iteration     unordered-container iteration feeding traces,
                           hashes, serialization or snapshot comparison
   unlabeled-event         Schedule()/ScheduleAt() without an EventLabel
