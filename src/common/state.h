@@ -55,11 +55,13 @@
 //                                                false = not dedupable
 //
 // Checkpoint type map: int -> I32; other integers -> I64; bool -> Bool;
-// enums -> U8; optional -> a Bool, then the value; pair -> first, then
-// second; containers -> an I64 count, then the elements, unordered sets
-// sorted. Formats (Relation, Update, ...) are hand-written leaf codecs,
-// the EncodeLeaf/DecodeLeaf overloads of core/checkpoint.h; fingerprint
-// leaves are the HashLeaf overloads beside each leaf type.
+// enums -> U8; strings -> an I64 length, then the bytes; optional -> a
+// Bool, then the value; pair -> first, then second; containers -> an I64
+// count, then the elements, unordered sets sorted. Formats (Relation,
+// Update, ...) are hand-written leaf codecs, the EncodeLeaf/DecodeLeaf
+// overloads of core/checkpoint.h. Fingerprint leaves are the HashLeaf
+// overloads beside each leaf type; the warehouse's is its whole state
+// encoded as bytes, which hash in bulk.
 
 #ifndef SWEEPMV_COMMON_STATE_H_
 #define SWEEPMV_COMMON_STATE_H_
@@ -68,6 +70,7 @@
 #include <any>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -190,9 +193,13 @@ void VisitList(T& x, V& v) {
 
 // --- snapshot ---------------------------------------------------------------
 
+// The member-wise copies a snapshot visit takes, in visit order. A deque,
+// so appending never moves the copies already taken.
+using StateSnapshot = std::deque<std::any>;
+
 class StateSaver : public StateVisitor<StateSaver> {
  public:
-  explicit StateSaver(std::vector<std::any>* out) : out_(out) {}
+  explicit StateSaver(StateSnapshot* out) : out_(out) {}
 
   template <StateTag tag, class T, class A>
   void Entry(const char*, const T& x, A) {
@@ -207,12 +214,12 @@ class StateSaver : public StateVisitor<StateSaver> {
   }
 
  private:
-  std::vector<std::any>* out_;
+  StateSnapshot* out_;
 };
 
 class StateRestorer : public StateVisitor<StateRestorer> {
  public:
-  explicit StateRestorer(const std::vector<std::any>& in) : in_(in) {}
+  explicit StateRestorer(const StateSnapshot& in) : in_(in) {}
 
   template <StateTag tag, class T, class A>
   void Entry(const char*, T& x, A) {
@@ -230,7 +237,7 @@ class StateRestorer : public StateVisitor<StateRestorer> {
   bool AtEnd() const { return next_ == in_.size(); }
 
  private:
-  const std::vector<std::any>& in_;
+  const StateSnapshot& in_;
   size_t next_ = 0;
 };
 
@@ -291,11 +298,16 @@ void CaptureState(UndoLog& log, T& x, const char* cls, int site,
 template <class W>
 class StateEncoder : public StateVisitor<StateEncoder<W>> {
  public:
-  explicit StateEncoder(W& w) : w_(w) {}
+  // `durable` also encodes the Durable members: not a checkpoint then,
+  // but a class's whole state as bytes (the warehouse's fingerprint).
+  explicit StateEncoder(W& w, bool durable = false)
+      : w_(w), durable_(durable) {}
 
   template <StateTag tag, class T, class A>
   void Entry(const char*, const T& x, A) {
-    if constexpr (tag != StateTag::kFixed && tag != StateTag::kDurable) {
+    if constexpr (tag == StateTag::kDurable) {
+      if (durable_) Encode(x);
+    } else if constexpr (tag != StateTag::kFixed) {
       Encode(x);
     }
   }
@@ -310,6 +322,8 @@ class StateEncoder : public StateVisitor<StateEncoder<W>> {
       w_.WriteI32(x);
     } else if constexpr (std::is_integral_v<T>) {
       w_.WriteI64(static_cast<int64_t>(x));
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      w_.WriteString(x);
     } else if constexpr (requires { EncodeLeaf(w_, x); }) {
       EncodeLeaf(w_, x);
     } else if constexpr (HasStateList<T>) {
@@ -332,6 +346,7 @@ class StateEncoder : public StateVisitor<StateEncoder<W>> {
 
  private:
   W& w_;
+  bool durable_;
 };
 
 template <class R>
@@ -377,7 +392,7 @@ class StateDecoder : public StateVisitor<StateDecoder<R>> {
         } else {
           typename T::value_type element{};
           Decode(element);
-          if constexpr (requires { x.push_back(std::move(element)); }) {
+          if constexpr (requires { x.push_back(element); }) {
             x.push_back(std::move(element));
           } else {
             x.insert(std::move(element));
@@ -460,7 +475,7 @@ class AnyStateVisitor {
  public:
   template <class V>
     requires(std::is_same_v<V, Vs> || ...)
-  AnyStateVisitor(V& v) : v_(&v) {}  // NOLINT(google-explicit-constructor)
+  AnyStateVisitor(V& v) : v_(&v) {}
 
   template <class Self>
   void Visit(Self& self, const char* cls) const {

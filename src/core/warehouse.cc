@@ -200,6 +200,14 @@ void Warehouse::RestoreFromCheckpoint(const std::string& bytes) {
   SWEEP_CHECK_MSG(r.AtEnd(), "checkpoint not fully consumed on restore");
 }
 
+void HashLeaf(StateHasher& h, const char* tag, const Warehouse& w) {
+  CheckpointWriter bytes;
+  StateEncoder<CheckpointWriter> encoder(bytes, /*durable=*/true);
+  Warehouse::VisitState(w, encoder);
+  const std::string state = bytes.Take();
+  h.Bytes(tag, state.data(), state.size());
+}
+
 void Warehouse::TakeCheckpoint() {
   durable_checkpoint_ = SerializeCheckpoint();
   durable_wal_.clear();

@@ -323,8 +323,7 @@ class Warehouse : public Site {
   using AlgVisitor = AnyStateVisitor<StateRestorer, UndoCapture,
                                      StateDecoder<CheckpointReader>>;
   using ConstAlgVisitor =
-      AnyStateVisitor<StateSaver, StateEncoder<CheckpointWriter>,
-                      StateHashVisitor>;
+      AnyStateVisitor<StateSaver, StateEncoder<CheckpointWriter>>;
 
   // The algorithm half of the state list. Every maintenance algorithm
   // overrides both with `v.Visit(*this, "ClassName")`, which visits its
@@ -526,6 +525,11 @@ class Warehouse : public Site {
   InstallObserver observer_;
   UndoLog* undo_ = nullptr;
 };
+
+// Fingerprint leaf for the state lists (common/state.h): the checkpoint
+// encoding extended by the Durable members — canonical bytes already
+// (sorted unordered containers), hashed in bulk.
+void HashLeaf(StateHasher& h, const char* tag, const Warehouse& w);
 
 }  // namespace sweepmv
 

@@ -1,7 +1,6 @@
 #include "relational/partial_delta.h"
 
 #include "common/check.h"
-#include "common/fingerprint.h"
 #include "common/str.h"
 
 namespace sweepmv {
@@ -17,12 +16,6 @@ PartialDelta PartialDelta::ForRelation(const ViewDef& view, int rel_index,
   pd.hi = rel_index;
   pd.rel = std::move(delta);
   return pd;
-}
-
-void HashLeaf(StateHasher& h, const char* tag, const PartialDelta& pd) {
-  h.I64(tag, pd.lo);
-  h.I64(tag, pd.hi);
-  HashLeaf(h, tag, pd.rel);
 }
 
 std::string PartialDelta::ToDisplayString() const {

@@ -59,9 +59,6 @@ PartialDelta MergeParallelSweeps(const ViewDef& view, int rel,
                                  const PartialDelta& left,
                                  const PartialDelta& right);
 
-// Fingerprint leaf for the state lists (common/state.h).
-void HashLeaf(StateHasher& h, const char* tag, const PartialDelta& pd);
-
 }  // namespace sweepmv
 
 #endif  // SWEEPMV_RELATIONAL_PARTIAL_DELTA_H_

@@ -128,19 +128,6 @@ std::ostream& operator<<(std::ostream& os, const Relation& r) {
   return os << r.ToDisplayString();
 }
 
-void HashLeaf(StateHasher& h, const char* tag, const Relation& rel) {
-  h.U64(tag, rel.schema().arity());
-  for (const Attribute& a : rel.schema().attrs()) {
-    h.Str("attr", a.name);
-    h.U64("attr.type", static_cast<uint64_t>(a.type));
-  }
-  AbsorbRelation(h, tag, rel);
-}
-
-void HashLeaf(StateHasher& h, const char* tag, const Tuple& t) {
-  h.U64(tag, static_cast<uint64_t>(t.Hash()));
-}
-
 void AbsorbRelation(StateHasher& h, const char* tag, const Relation& rel) {
   h.U64(tag, rel.DistinctSize());
   for (const auto& [tuple, count] : rel.SortedEntries()) {

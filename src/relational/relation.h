@@ -135,10 +135,10 @@ class StateHasher;
 // common/fingerprint.h) — the canonical form every interleaving agrees on.
 void AbsorbRelation(StateHasher& h, const char* tag, const Relation& rel);
 
-// Fingerprint leaves for the state lists (common/state.h): a relation
-// with its schema, a tuple by its hash.
-void HashLeaf(StateHasher& h, const char* tag, const Relation& rel);
-void HashLeaf(StateHasher& h, const char* tag, const Tuple& t);
+// Fingerprint leaf for the state lists (common/state.h).
+inline void HashLeaf(StateHasher& h, const char* tag, const Relation& rel) {
+  AbsorbRelation(h, tag, rel);
+}
 
 }  // namespace sweepmv
 

@@ -87,10 +87,6 @@ uint64_t MessageDigest(const Message& msg) {
   return digest == 0 ? 1 : digest;
 }
 
-void HashLeaf(StateHasher& h, const char* tag, const Message& msg) {
-  h.U64(tag, MessageDigest(msg));
-}
-
 MessageClass ClassOf(const Message& msg) {
   struct Visitor {
     MessageClass operator()(const UpdateMessage&) const {

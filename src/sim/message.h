@@ -149,9 +149,6 @@ MessageClass ClassOf(const Message& msg);
 // "undigested event".
 uint64_t MessageDigest(const Message& msg);
 
-// Fingerprint leaf for the state lists (common/state.h): the digest.
-void HashLeaf(StateHasher& h, const char* tag, const Message& msg);
-
 // Number of tuples the message carries — the size proxy used by the
 // benches (the paper discusses message *size* for ECA in these terms).
 int64_t PayloadTuples(const Message& msg);

@@ -1,7 +1,6 @@
 #include "source/update.h"
 
 #include "common/check.h"
-#include "common/fingerprint.h"
 #include "common/str.h"
 
 namespace sweepmv {
@@ -12,13 +11,6 @@ bool Update::IsPureDelete() const {
     if (c > 0) return false;
   }
   return true;
-}
-
-void HashLeaf(StateHasher& h, const char* tag, const Update& u) {
-  h.I64(tag, u.id);
-  h.I64(tag, u.relation);
-  h.I64(tag, u.applied_at);
-  HashLeaf(h, tag, u.delta);
 }
 
 std::string Update::ToDisplayString() const {

@@ -72,9 +72,6 @@ Relation OpsToDelta(const Schema& schema, const std::vector<UpdateOp>& ops);
 // (O(|delta|), not O(|base|)).
 void CheckDeltaApplied(const Relation& base, const Relation& delta);
 
-// Fingerprint leaf for the state lists (common/state.h).
-void HashLeaf(StateHasher& h, const char* tag, const Update& u);
-
 }  // namespace sweepmv
 
 #endif  // SWEEPMV_SOURCE_UPDATE_H_

@@ -12,7 +12,6 @@
 #ifndef SWEEPMV_VERIFY_CONTROLLED_RUN_H_
 #define SWEEPMV_VERIFY_CONTROLLED_RUN_H_
 
-#include <any>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -171,8 +170,7 @@ class ControlledSystem {
 
    private:
     friend class ControlledSystem;
-    // One member-wise copy per snapshotted member, in list order.
-    std::vector<std::any> members;
+    StateSnapshot members;
   };
   SavedState SaveState() const;
   void RestoreState(const SavedState& state);
