@@ -31,8 +31,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include <memory>
-
 #include "common/check.h"
 #include "common/state.h"
 #include "common/undo.h"

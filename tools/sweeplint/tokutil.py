@@ -1,9 +1,10 @@
 """Token-stream helpers shared by the sweeplint checks.
 
-checks.py (snapshot/unordered/event-label), taint.py (determinism-taint)
-and guards.py (protocol-guard) all consume Method.tokens streams; the
-bracket matching, argument splitting, scope gating and suppression
-plumbing live here so the check modules stay free of each other.
+checks.py (state-inventory/unordered/event-label), taint.py
+(determinism-taint) and guards.py (protocol-guard) all consume
+Method.tokens streams; the bracket matching, argument splitting, scope
+gating and suppression plumbing live here so the check modules stay free
+of each other.
 """
 
 from __future__ import annotations
