@@ -105,8 +105,9 @@ int main() {
   auto print_agg = [](const char* title, const MaintainedAggregate& agg) {
     std::printf("%s\n", title);
     TablePrinter table({"group", "value"});
-    for (const auto& [t, c] : agg.Result().SortedEntries()) {
-      (void)c;
+    const Relation result = agg.Result();
+    for (const auto* entry : result.SortedEntries()) {
+      const Tuple& t = entry->first;
       table.AddRow({t.at(0).ToDisplayString(),
                     t.at(1).ToDisplayString()});
     }

@@ -13,31 +13,37 @@ constexpr uint8_t kTagQueryRequest = 0;
 constexpr uint8_t kTagEcaQueryRequest = 1;
 constexpr uint8_t kTagSnapshotRequest = 2;
 
+// Encoded size of one cell: its type tag, then an 8-byte payload or a
+// length-prefixed text.
+size_t CellSize(const Value& v) {
+  return 1 + 8 + (v.type() == ValueType::kString ? v.AsString().size() : 0);
+}
+
 }  // namespace
 
-void CheckpointWriter::WriteU8(uint8_t v) {
-  bytes_.push_back(static_cast<char>(v));
+char* CheckpointWriter::Grow(size_t n) {
+  const size_t start = bytes_.size();
+  bytes_.resize(start + n);
+  return bytes_.data() + start;
 }
 
-void CheckpointWriter::WriteI32(int32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    bytes_.push_back(
-        static_cast<char>((static_cast<uint32_t>(v) >> shift) & 0xff));
+char* CheckpointWriter::StoreValue(char* out, const Value& v) {
+  const ValueType type = v.type();
+  *out++ = static_cast<char>(type);
+  switch (type) {
+    case ValueType::kInt:
+      return StoreLe(out, static_cast<uint64_t>(v.AsInt()));
+    case ValueType::kDouble:
+      return StoreLe(out, std::bit_cast<uint64_t>(v.AsDouble()));
+    case ValueType::kString: {
+      const std::string& text = v.AsString();
+      out = StoreLe(out, static_cast<uint64_t>(text.size()));
+      std::memcpy(out, text.data(), text.size());
+      return out + text.size();
+    }
   }
-}
-
-void CheckpointWriter::WriteI64(int64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    bytes_.push_back(
-        static_cast<char>((static_cast<uint64_t>(v) >> shift) & 0xff));
-  }
-}
-
-void CheckpointWriter::WriteF64(double v) {
-  int64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  WriteI64(bits);
+  SWEEP_CHECK_MSG(false, "unknown value type in checkpoint");
+  return out;
 }
 
 void CheckpointWriter::WriteString(const std::string& s) {
@@ -46,24 +52,14 @@ void CheckpointWriter::WriteString(const std::string& s) {
 }
 
 void CheckpointWriter::WriteValue(const Value& v) {
-  WriteU8(static_cast<uint8_t>(v.type()));
-  switch (v.type()) {
-    case ValueType::kInt:
-      WriteI64(v.AsInt());
-      return;
-    case ValueType::kDouble:
-      WriteF64(v.AsDouble());
-      return;
-    case ValueType::kString:
-      WriteString(v.AsString());
-      return;
-  }
-  SWEEP_CHECK_MSG(false, "unknown value type in checkpoint");
+  StoreValue(Grow(CellSize(v)), v);
 }
 
 void CheckpointWriter::WriteTuple(const Tuple& t) {
-  WriteI64(static_cast<int64_t>(t.arity()));
-  for (const Value& v : t.values()) WriteValue(v);
+  size_t size = 8;
+  for (const Value& v : t.values()) size += CellSize(v);
+  char* out = StoreLe(Grow(size), static_cast<uint64_t>(t.arity()));
+  for (const Value& v : t.values()) out = StoreValue(out, v);
 }
 
 void CheckpointWriter::WriteSchema(const Schema& s) {
@@ -78,9 +74,9 @@ void CheckpointWriter::WriteRelation(const Relation& r) {
   WriteSchema(r.schema());
   const auto entries = r.SortedEntries();
   WriteI64(static_cast<int64_t>(entries.size()));
-  for (const auto& [tuple, count] : entries) {
-    WriteTuple(tuple);
-    WriteI64(count);
+  for (const auto* entry : entries) {
+    WriteTuple(entry->first);
+    WriteI64(entry->second);
   }
 }
 

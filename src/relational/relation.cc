@@ -109,17 +109,51 @@ void Relation::ClampToSet() {
   }
 }
 
-std::vector<std::pair<Tuple, int64_t>> Relation::SortedEntries() const {
-  std::vector<std::pair<Tuple, int64_t>> out(counts_.begin(), counts_.end());
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+std::vector<const Relation::CountMap::value_type*> Relation::SortedEntries()
+    const& {
+  using Entry = const CountMap::value_type*;
+  std::vector<Entry> out;
+  out.reserve(counts_.size());
+  const bool int_keys = schema_.arity() >= 2 &&
+                        schema_.attr(0).type == ValueType::kInt &&
+                        schema_.attr(1).type == ValueType::kInt;
+  if (!int_keys) {
+    for (const auto& kv : counts_) out.push_back(&kv);
+    std::sort(out.begin(), out.end(),
+              [](Entry a, Entry b) { return a->first < b->first; });
+    return out;
+  }
+  // Every tuple matches the schema, so each one leads with two ints. Each
+  // is carried as an unsigned key with the sign bit flipped, which orders
+  // exactly as the signed value; the tuple compare breaks ties on both.
+  struct Keyed {
+    uint64_t k0;
+    uint64_t k1;
+    Entry entry;
+  };
+  constexpr uint64_t kSignBit = uint64_t{1} << 63;
+  std::vector<Keyed> keyed;
+  keyed.reserve(counts_.size());
+  for (const auto& kv : counts_) {
+    const std::vector<Value>& cells = kv.first.values();
+    keyed.push_back({static_cast<uint64_t>(cells[0].AsInt()) ^ kSignBit,
+                     static_cast<uint64_t>(cells[1].AsInt()) ^ kSignBit,
+                     &kv});
+  }
+  std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
+    if (a.k0 != b.k0) return a.k0 < b.k0;
+    if (a.k1 != b.k1) return a.k1 < b.k1;
+    return a.entry->first < b.entry->first;
+  });
+  for (const Keyed& k : keyed) out.push_back(k.entry);
   return out;
 }
 
 std::string Relation::ToDisplayString() const {
   std::vector<std::string> parts;
-  for (const auto& [t, c] : SortedEntries()) {
-    parts.push_back(t.ToDisplayString() + "[" + std::to_string(c) + "]");
+  for (const auto* entry : SortedEntries()) {
+    parts.push_back(entry->first.ToDisplayString() + "[" +
+                    std::to_string(entry->second) + "]");
   }
   return "{" + Join(parts, ", ") + "}";
 }
@@ -130,9 +164,9 @@ std::ostream& operator<<(std::ostream& os, const Relation& r) {
 
 void AbsorbRelation(StateHasher& h, const char* tag, const Relation& rel) {
   h.U64(tag, rel.DistinctSize());
-  for (const auto& [tuple, count] : rel.SortedEntries()) {
-    h.U64("t.hash", static_cast<uint64_t>(tuple.Hash()));
-    h.I64("t.count", count);
+  for (const auto* entry : rel.SortedEntries()) {
+    h.U64("t.hash", static_cast<uint64_t>(entry->first.Hash()));
+    h.I64("t.count", entry->second);
   }
 }
 

@@ -105,9 +105,12 @@ class Relation {
     return it == counts_.end() ? nullptr : &*it;
   }
 
-  // Deterministic (sorted by tuple) snapshot of the entries; use for
-  // display and for order-insensitive comparisons in tests.
-  std::vector<std::pair<Tuple, int64_t>> SortedEntries() const;
+  // The entries in Tuple::operator< order, as pointers into the count
+  // map: the one deterministic walk (checkpoint codec, fingerprint,
+  // display, CSV). Nothing is copied; the pointers stay valid until this
+  // relation is next mutated, so a temporary relation cannot be walked.
+  std::vector<const CountMap::value_type*> SortedEntries() const&;
+  void SortedEntries() const&& = delete;
 
   // Two relations are equal iff they hold the same tuple->count map.
   // (Schema attribute names are display metadata and not compared.)

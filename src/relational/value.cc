@@ -65,19 +65,6 @@ const std::string& Value::AsString() const {
   return string_->text;
 }
 
-bool Value::operator<(const Value& other) const {
-  if (type_ != other.type_) return type_ < other.type_;
-  switch (type_) {
-    case ValueType::kInt:
-      return int_ < other.int_;
-    case ValueType::kDouble:
-      return double_ < other.double_;
-    case ValueType::kString:
-      return string_ != other.string_ && string_->text < other.string_->text;
-  }
-  return false;
-}
-
 std::string Value::ToDisplayString() const {
   switch (type_) {
     case ValueType::kInt:

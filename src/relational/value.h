@@ -82,7 +82,19 @@ class Value {
     return false;
   }
   bool operator!=(const Value& other) const { return !(*this == other); }
-  bool operator<(const Value& other) const;
+  bool operator<(const Value& other) const {
+    if (type_ != other.type_) return type_ < other.type_;
+    switch (type_) {
+      case ValueType::kInt:
+        return int_ < other.int_;
+      case ValueType::kDouble:
+        return double_ < other.double_;
+      case ValueType::kString:
+        return string_ != other.string_ &&
+               string_->text < other.string_->text;
+    }
+    return false;
+  }
 
   size_t Hash() const {
     size_t h = 0;
