@@ -5,7 +5,10 @@
 // cells typed by the target schema; an optional trailing `@count` sets the
 // multiplicity (defaults to 1; negative counts express deltas). Lines that
 // are empty or start with '#' are skipped. String cells are unquoted and
-// must not contain commas.
+// must not contain commas. Integer cells and counts must fit in int64, and
+// double cells must not be NaN or overflow to infinity (the literals `inf`
+// and `-inf` are accepted); anything else is a line and cell error, never
+// a clamped value.
 
 #ifndef SWEEPMV_RELATIONAL_CSV_H_
 #define SWEEPMV_RELATIONAL_CSV_H_

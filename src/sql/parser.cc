@@ -1,6 +1,8 @@
 #include "sql/parser.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <optional>
 #include <vector>
@@ -269,16 +271,30 @@ class Parser {
       case TokKind::kIdent:
         out->is_column = true;
         return ParseColumn(&out->column, error);
-      case TokKind::kInt:
-        out->constant = Value(
-            static_cast<int64_t>(std::strtoll(Peek().text.c_str(),
-                                              nullptr, 10)));
+      case TokKind::kInt: {
+        errno = 0;
+        const long long v = std::strtoll(Peek().text.c_str(), nullptr, 10);
+        if (errno == ERANGE) {
+          *error = StrFormat("integer constant '%s' is out of the int64 range",
+                             Peek().text.c_str());
+          return false;
+        }
+        out->constant = Value(static_cast<int64_t>(v));
         ++pos_;
         return true;
-      case TokKind::kFloat:
-        out->constant = Value(std::strtod(Peek().text.c_str(), nullptr));
+      }
+      case TokKind::kFloat: {
+        errno = 0;
+        const double v = std::strtod(Peek().text.c_str(), nullptr);
+        if (errno == ERANGE && std::isinf(v)) {
+          *error = StrFormat("constant '%s' is out of the double range",
+                             Peek().text.c_str());
+          return false;
+        }
+        out->constant = Value(v);
         ++pos_;
         return true;
+      }
       case TokKind::kString:
         out->constant = Value(Peek().text);
         ++pos_;

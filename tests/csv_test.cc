@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 namespace sweepmv {
 namespace {
 
@@ -62,6 +66,71 @@ TEST(CsvTest, ErrorBadCount) {
   CsvParseResult r = ParseCsv(Schema::AllInts({"A"}), "1 @two\n");
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("bad count"), std::string::npos);
+}
+
+TEST(CsvTest, IntegersAtTheInt64Limits) {
+  CsvParseResult r = ParseCsv(Schema::AllInts({"A"}),
+                              "9223372036854775807\n"
+                              "-9223372036854775808 @9223372036854775807\n");
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.relation.CountOf(IntTuple({INT64_MAX})), 1);
+  EXPECT_EQ(r.relation.CountOf(IntTuple({INT64_MIN})), INT64_MAX);
+}
+
+// Out-of-range integers are errors, not values clamped to the limits.
+TEST(CsvTest, ErrorIntegerOutOfRange) {
+  for (const char* cell : {"9223372036854775808", "-9223372036854775809",
+                           "99999999999999999999999"}) {
+    SCOPED_TRACE(cell);
+    CsvParseResult r = ParseCsv(Schema::AllInts({"A", "B"}),
+                                "1,2\n3," + std::string(cell) + "\n");
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("line 2, cell 2"), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find("out of the int64 range"), std::string::npos);
+  }
+}
+
+TEST(CsvTest, ErrorCountOutOfRange) {
+  for (const char* count : {"9223372036854775808", "-9223372036854775809"}) {
+    SCOPED_TRACE(count);
+    CsvParseResult r = ParseCsv(Schema::AllInts({"A"}),
+                                "1 @" + std::string(count) + "\n");
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("line 1"), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find("out of the int64 range"), std::string::npos);
+  }
+}
+
+// A NaN cell would make two identical rows two entries that no `@-1` row
+// could delete, and would break the order of every sorted walk.
+TEST(CsvTest, ErrorNanDouble) {
+  Schema schema(std::vector<Attribute>{{"id", ValueType::kInt},
+                                       {"score", ValueType::kDouble}});
+  for (const char* cell : {"nan", "NAN", "-nan", "nan(0x1)"}) {
+    SCOPED_TRACE(cell);
+    CsvParseResult r = ParseCsv(schema, "1, " + std::string(cell) + "\n");
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("line 1, cell 2"), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find("NaN"), std::string::npos);
+  }
+}
+
+TEST(CsvTest, InfinityAcceptedOverflowRejected) {
+  Schema schema(std::vector<Attribute>{{"x", ValueType::kDouble}});
+  CsvParseResult ok = ParseCsv(schema, "inf\n-inf\n1e308\n");
+  ASSERT_TRUE(ok.ok) << ok.error;
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(ok.relation.CountOf(Tuple{Value(inf)}), 1);
+  EXPECT_EQ(ok.relation.CountOf(Tuple{Value(-inf)}), 1);
+  EXPECT_EQ(ok.relation.CountOf(Tuple{Value(1e308)}), 1);
+
+  for (const char* cell : {"1e999", "-1e999"}) {
+    SCOPED_TRACE(cell);
+    CsvParseResult r = ParseCsv(schema, std::string(cell) + "\n");
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("line 1, cell 1"), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find("out of the double range"), std::string::npos);
+  }
 }
 
 TEST(CsvTest, ErrorReportsLineNumber) {

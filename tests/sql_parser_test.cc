@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "relational/operators.h"
 
 namespace sweepmv {
@@ -169,6 +172,43 @@ TEST(SqlParserTest, NegativeIntegerLiteral) {
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_TRUE(result.view().selection().Eval(IntTuple({0, 0})));
   EXPECT_FALSE(result.view().selection().Eval(IntTuple({-6, 0})));
+}
+
+TEST(SqlParserTest, IntegerLiteralsAtTheInt64Limits) {
+  ParseViewResult result = ParseView(
+      "SELECT * FROM R1 WHERE R1.A = -9223372036854775808 AND "
+      "R1.B = 9223372036854775807",
+      PaperCatalog());
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_TRUE(result.view().selection().Eval(IntTuple({INT64_MIN, INT64_MAX})));
+  EXPECT_FALSE(
+      result.view().selection().Eval(IntTuple({INT64_MIN, INT64_MAX - 1})));
+}
+
+// Out-of-range constants are errors, not values clamped to the limits.
+TEST(SqlParserTest, ErrorIntegerLiteralOutOfRange) {
+  for (const char* literal : {"9223372036854775808", "-9223372036854775809",
+                              "99999999999999999999999"}) {
+    SCOPED_TRACE(literal);
+    ParseViewResult result = ParseView(
+        "SELECT * FROM R1 WHERE R1.A > " + std::string(literal),
+        PaperCatalog());
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.error.find("out of the int64 range"), std::string::npos)
+        << result.error;
+  }
+}
+
+TEST(SqlParserTest, ErrorFloatLiteralOutOfRange) {
+  Catalog catalog;
+  catalog.AddTable("T", Schema(std::vector<Attribute>{
+                            {"score", ValueType::kDouble}}));
+  const std::string huge = "1" + std::string(400, '0') + ".5";
+  ParseViewResult result =
+      ParseView("SELECT * FROM T WHERE score < " + huge, catalog);
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("out of the double range"), std::string::npos)
+      << result.error;
 }
 
 }  // namespace
