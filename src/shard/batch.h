@@ -13,7 +13,7 @@
 //
 // The trade is latency: a buffered update is invisible to the view until
 // its batch flushes. The staleness percentiles (src/harness/stats.h)
-// price that trade; bench/ingest_throughput.cc reports both sides.
+// price that trade; bench/sweepbench reports both sides.
 //
 // Sharded deployments set `route_shards`: a flush then partitions the
 // buffered operations by their tuples' routing hash (shard/routing.h)

@@ -6,7 +6,7 @@
 // maintained index, and emit one output tuple per bucket match. Cost is
 // O(|Δ| · matches) instead of the scan join's O(|R| + |Δ| · matches)
 // per query — the difference SWEEP's per-update query pattern feels on
-// every hop (bench/index_speedup.cc quantifies it).
+// every hop (bench/sweepbench times this path as source.query_frac).
 //
 // Results are bit-identical to the scan path (the equivalence property
 // test proves it end to end): both compute the same counted bag, only

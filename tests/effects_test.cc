@@ -85,25 +85,41 @@ TEST(EffectsIndexTest, IndependentUnderCountsOnlyRefinedGrants) {
 }
 
 TEST(EffectsTest, RefinedPrunesStrictlyMoreOnCrashScenario) {
-  ControlledScenario scenario =
-      FaultyPaperExampleScenario(Algorithm::kSweep);
-  EffectsIndex index = EffectsIndex::ForScenario(scenario);
-  ExploreResult baseline = ExploreExhaustive(
-      RefinedConfig(scenario, ConsistencyLevel::kComplete, nullptr));
-  ExploreResult refined = ExploreExhaustive(
-      RefinedConfig(scenario, ConsistencyLevel::kComplete, &index));
-  ASSERT_TRUE(baseline.exhausted);
-  ASSERT_TRUE(refined.exhausted);
-  ExpectSameVerdicts(baseline, refined);
-  EXPECT_EQ(refined.worst, ConsistencyLevel::kComplete);
-  EXPECT_EQ(refined.violations, 0);
-  // The crash/txn grants must actually buy pruning the site rule cannot:
-  // strictly fewer explored schedules covering the same trace classes.
-  // (sleep_pruned itself is not monotone — subtrees pruned earlier never
-  // get visited, so their would-be prune events are never recorded.)
-  EXPECT_GT(refined.refined_grants, 0);
-  EXPECT_EQ(baseline.refined_grants, 0);
-  EXPECT_LT(refined.schedules, baseline.schedules);
+  struct Case {
+    ControlledScenario scenario;
+    ConsistencyLevel required;
+    const char* name;
+  };
+  Case cases[] = {
+      {FaultyPaperExampleScenario(Algorithm::kSweep),
+       ConsistencyLevel::kComplete, "faulty"},
+      // Two warehouses, two crash choice points. Crash recovery parks
+      // SWEEP at strong consistency, the level Nested SWEEP promises.
+      {GeneratedMultiViewScenario(Algorithm::kSweep,
+                                  Algorithm::kNestedSweep, /*updates=*/1,
+                                  /*crash=*/true),
+       ConsistencyLevel::kStrong, "stress"},
+  };
+  for (const Case& c : cases) {
+    EffectsIndex index = EffectsIndex::ForScenario(c.scenario);
+    ExploreResult baseline =
+        ExploreExhaustive(RefinedConfig(c.scenario, c.required, nullptr));
+    ExploreResult refined =
+        ExploreExhaustive(RefinedConfig(c.scenario, c.required, &index));
+    ASSERT_TRUE(baseline.exhausted) << c.name;
+    ASSERT_TRUE(refined.exhausted) << c.name;
+    ExpectSameVerdicts(baseline, refined);
+    EXPECT_GE(refined.worst, c.required) << c.name;
+    EXPECT_EQ(refined.violations, 0) << c.name;
+    // The crash/txn grants must actually buy pruning the site rule
+    // cannot: strictly fewer explored schedules covering the same trace
+    // classes. (sleep_pruned itself is not monotone — subtrees pruned
+    // earlier never get visited, so their would-be prune events are
+    // never recorded.)
+    EXPECT_GT(refined.refined_grants, 0) << c.name;
+    EXPECT_EQ(baseline.refined_grants, 0) << c.name;
+    EXPECT_LT(refined.schedules, baseline.schedules) << c.name;
+  }
 }
 
 TEST(EffectsTest, RefinedIsZeroGainOnFaultFreeExample) {
@@ -177,7 +193,7 @@ TEST(EffectsOracleTest, PassesOnEveryCrashSchedule) {
 TEST(EffectsOracleTest, PassesOnGeneratedMultiViewSchedules) {
   // Two warehouses, two crash choice points: the multi-view row set plus
   // repeated crash/recovery churn. Crash recovery parks SWEEP at strong
-  // consistency, mirroring the throughput bench's stress bar.
+  // consistency, the bar RefinedPrunesStrictlyMoreOnCrashScenario uses.
   ControlledScenario scenario = GeneratedMultiViewScenario(
       Algorithm::kSweep, Algorithm::kNestedSweep, /*updates=*/1,
       /*crash=*/true);

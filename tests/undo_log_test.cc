@@ -241,17 +241,28 @@ ExplorerConfig InvarianceConfig(ControlledScenario scenario,
 }
 
 TEST(EngineInvarianceTest, UndoAndAnchorCadenceNeverChangeTheAnswer) {
-  ExplorerConfig snapshot = InvarianceConfig(
-      PaperExampleScenario(Algorithm::kSweep), ConsistencyLevel::kComplete);
-  snapshot.use_undo = false;
-  ExploreResult baseline = ExploreExhaustive(snapshot);
-  ASSERT_TRUE(baseline.exhausted);
-  for (int cadence : {0, 1, 8, 64}) {
-    ExplorerConfig undo = snapshot;
-    undo.use_undo = true;
-    undo.snapshot_anchor_every = cadence;
-    ExpectSameVerdicts(baseline, ExploreExhaustive(undo),
-                       "cadence=" + std::to_string(cadence));
+  for (bool sleep_sets : {true, false}) {
+    ExplorerConfig snapshot =
+        InvarianceConfig(PaperExampleScenario(Algorithm::kSweep),
+                         ConsistencyLevel::kComplete);
+    snapshot.sleep_sets = sleep_sets;
+    snapshot.use_undo = false;
+    ExploreResult baseline = ExploreExhaustive(snapshot);
+    ASSERT_TRUE(baseline.exhausted);
+    for (int cadence : {0, 1, 8, 64}) {
+      ExplorerConfig undo = snapshot;
+      undo.use_undo = true;
+      undo.snapshot_anchor_every = cadence;
+      const std::string what = std::string(sleep_sets ? "POR" : "naive") +
+                               " cadence=" + std::to_string(cadence);
+      ExploreResult result = ExploreExhaustive(undo);
+      ExpectSameVerdicts(baseline, result, what);
+      // The undo log must actually carry the backtracking; K=1 anchors
+      // every branch, so it alone never rolls back.
+      if (cadence != 1) {
+        EXPECT_GT(result.undo_rollbacks, 0) << what;
+      }
+    }
   }
 }
 
