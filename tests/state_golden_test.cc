@@ -13,6 +13,11 @@
 //     partitions states exactly as the pinned build did; equal anchor
 //     and sleep-set counts show the snapshot and undo engines walk the
 //     same tree.
+//   * Source topologies: one FNV-1a digest per RunScenario run of every
+//     algorithm at one, two and four relations per source site, plus a
+//     source crash and restart. Each digest covers what the source sites
+//     can move: the final view, network and storage counters, installs,
+//     replayed and ignored duplicate updates, and the consistency level.
 //
 // The constants were computed once and are deliberately never
 // regenerated: a change here means the checkpoint format, the
@@ -23,6 +28,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/str.h"
+#include "harness/scenario.h"
 #include "verify/controlled_run.h"
 #include "verify/effects.h"
 #include "verify/explorer.h"
@@ -146,6 +153,92 @@ TEST(StateGoldenTest, FaultySleepSetEffectsCounts) {
   config.effects = &index;
   ExpectCounts(ExploreExhaustive(config),
                Counts{3168, 2387, 0, 8668, 193, 807, 374, 5310});
+}
+
+// Digest of every RunScenario output a source site can influence.
+uint64_t RunDigest(const RunResult& r) {
+  std::string text = r.final_view.ToDisplayString();
+  for (const NetworkStats::ClassStats& c : r.net.by_class) {
+    text += StrFormat(" %lld/%lld", static_cast<long long>(c.messages),
+                      static_cast<long long>(c.payload_tuples));
+  }
+  const NetworkStats::ReliabilityStats& f = r.net.reliability;
+  for (int64_t counter :
+       {f.drops_injected, f.partition_drops, f.dups_injected, f.crash_drops,
+        f.retransmissions, f.dups_suppressed, f.acks_sent,
+        f.messages_abandoned, r.installs, r.storage.index_probes,
+        r.storage.index_matches, r.storage.scan_fallbacks,
+        r.storage.index_builds, r.storage.indexes_maintained,
+        r.updates_replayed, r.duplicate_updates_ignored}) {
+    text += StrFormat(" %lld", static_cast<long long>(counter));
+  }
+  text += ConsistencyLevelName(r.consistency.level);
+  CheckpointDigest digest;
+  digest.Absorb(text);
+  return digest.fnv;
+}
+
+ScenarioConfig TopologyConfig(Algorithm algorithm, int relations_per_site) {
+  ScenarioConfig config;
+  config.algorithm = algorithm;
+  config.relations_per_site = relations_per_site;
+  config.chain.num_relations = 4;
+  config.chain.initial_tuples = 10;
+  config.chain.join_domain = 4;
+  config.workload.total_txns = 24;
+  config.workload.mean_interarrival = 1500;
+  config.latency = LatencyModel::Jittered(800, 600);
+  return config;
+}
+
+TEST(StateGoldenTest, SourceTopologyRuns) {
+  struct TopologyPin {
+    Algorithm algorithm;
+    uint64_t per_site[3];  // relations_per_site 1, 2, 4
+  };
+  const TopologyPin pins[] = {
+      {Algorithm::kSweep,
+       {0x1b3ea3713f1e53e9ull, 0xbe01676c1560079dull, 0xbe01676c1560079dull}},
+      {Algorithm::kNestedSweep,
+       {0xc3f56c572ec2800aull, 0xc3f56c572ec2800aull, 0xc3f56c572ec2800aull}},
+      {Algorithm::kStrobe,
+       {0xe71e1ffb93a3c6a4ull, 0xda8c80f0e1267b9dull, 0xe71e1ffb93a3c6a4ull}},
+      {Algorithm::kCStrobe,
+       {0x87c665314007f0dfull, 0x49d0b5fdb4ff376bull, 0xfd339471127513dbull}},
+      {Algorithm::kEca,
+       {0x6fa8737fbf788724ull, 0x6fa8737fbf788724ull, 0x6fa8737fbf788724ull}},
+      {Algorithm::kRecompute,
+       {0x5a9860089604234aull, 0xb22e0394cefe256aull, 0x884cff49de771625ull}},
+      {Algorithm::kParallelSweep,
+       {0x4a0998d868ce6defull, 0x5f02acf67373d31full, 0x5f02acf67373d31full}},
+      {Algorithm::kPipelinedSweep,
+       {0xb82e4bdf4037f2c9ull, 0xa815bdfc11095735ull, 0x6e68686c7ae45f19ull}},
+  };
+  const int per_site[] = {1, 2, 4};
+  for (const TopologyPin& pin : pins) {
+    for (int i = 0; i < 3; ++i) {
+      const RunResult r =
+          RunScenario(TopologyConfig(pin.algorithm, per_site[i]));
+      EXPECT_EQ(RunDigest(r), pin.per_site[i])
+          << AlgorithmName(pin.algorithm) << " per_site=" << per_site[i];
+    }
+  }
+}
+
+TEST(StateGoldenTest, SourceCrashRestartRun) {
+  ScenarioConfig config = TopologyConfig(Algorithm::kSweep, 1);
+  // Insert-only: a transaction the down source refuses must not be the
+  // insert a later generated delete assumes happened.
+  config.workload.insert_fraction = 1.0;
+  config.fault_plan.enabled = true;
+  config.fault_plan.reliability = true;
+  config.fault_plan.query_timeout = 50'000;
+  config.fault_plan.crashes = {{/*relation=*/1, /*crash_at=*/10'000,
+                                /*restart_at=*/25'000}};
+  const RunResult r = RunScenario(config);
+  EXPECT_GT(r.updates_replayed, 0);
+  EXPECT_GT(r.duplicate_updates_ignored, 0);
+  EXPECT_EQ(RunDigest(r), 0x494e59b89f3215deull);
 }
 
 }  // namespace
