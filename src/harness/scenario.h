@@ -38,9 +38,9 @@ struct FaultPlan {
   // channel assumption of Section 2 is then genuinely violated).
   bool reliability = true;
   SessionOptions session;
-  // Source crash/restart schedule, by relation index. Requires the
-  // one-relation-per-site topology (relations_per_site == 1) and a
-  // multi-source algorithm.
+  // Source crash/restart schedule, by relation index. Requires
+  // `enabled`, the one-relation-per-site topology (relations_per_site ==
+  // 1) and a multi-source algorithm.
   struct CrashEvent {
     int relation = 0;
     SimTime crash_at = 0;
