@@ -23,7 +23,6 @@
 #include "harness/trace.h"
 #include "sim/simulator.h"
 #include "source/data_source.h"
-#include "source/multi_source.h"
 
 using namespace sweepmv;
 

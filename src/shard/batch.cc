@@ -7,7 +7,7 @@
 
 namespace sweepmv {
 
-BatchPipeline::BatchPipeline(SourceSite* source, int relation,
+BatchPipeline::BatchPipeline(DataSource* source, int relation,
                              Simulator* sim, BatchOptions options)
     : source_(source), relation_(relation), sim_(sim), options_(options) {
   SWEEP_CHECK(source_ != nullptr && sim_ != nullptr);

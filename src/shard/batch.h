@@ -33,7 +33,7 @@
 #include <vector>
 
 #include "sim/simulator.h"
-#include "source/source_site.h"
+#include "source/data_source.h"
 #include "source/update.h"
 
 namespace sweepmv {
@@ -81,7 +81,7 @@ class BatchPipeline {
     std::vector<SimTime> submit_times;
   };
 
-  BatchPipeline(SourceSite* source, int relation, Simulator* sim,
+  BatchPipeline(DataSource* source, int relation, Simulator* sim,
                 BatchOptions options);
 
   // Buffers one client transaction (submit time = now). May flush
@@ -100,7 +100,7 @@ class BatchPipeline {
  private:
   void ArmTimer();
 
-  SourceSite* source_;
+  DataSource* source_;
   int relation_;
   Simulator* sim_;
   BatchOptions options_;

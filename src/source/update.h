@@ -61,9 +61,9 @@ struct Update {
   bool operator==(const Update&) const = default;
 };
 
-// Builds the signed-count delta equivalent of a transaction's operations
-// applied in order against `base` (needed to cancel an insert-then-delete
-// of the same tuple inside one transaction).
+// Builds the signed-count delta of a transaction's operations: each insert
+// adds +1 and each delete -1 to its tuple, so an insert-then-delete of the
+// same tuple inside one transaction cancels.
 Relation OpsToDelta(const Schema& schema, const std::vector<UpdateOp>& ops);
 
 // Aborts if `base`, after merging `delta` into it, holds a negative count:

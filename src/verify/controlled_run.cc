@@ -77,21 +77,22 @@ ControlledSystem::ControlledSystem(const ControlledScenario& scenario,
   SWEEP_CHECK(static_cast<int>(bases_.size()) == n);
   sim_.SetScheduler(scheduler);
 
-  std::vector<int> source_sites;
-  if (RequiresSingleSource(scenario.algorithm)) {
-    source_sites.assign(static_cast<size_t>(n), 1);
-    eca_source_ = std::make_unique<EcaSource>(
-        1, bases_, &view_, &network_, kWarehouseSite, &ids_);
-    network_.RegisterSite(1, eca_source_.get());
-  } else {
-    for (int r = 0; r < n; ++r) {
-      source_sites.push_back(r + 1);
-      sources_.push_back(std::make_unique<DataSource>(
-          r + 1, r, bases_[static_cast<size_t>(r)], &view_, &network_,
-          kWarehouseSite, &ids_));
-      network_.RegisterSite(r + 1, sources_.back().get());
-    }
+  // Sources from site 1: one per relation, or ECA's single site hosting
+  // the whole chain, without indexes (its queries join whole relations).
+  const bool single_source = RequiresSingleSource(scenario.algorithm);
+  const int per_site = single_source ? n : 1;
+  for (int lo = 0; lo < n; lo += per_site) {
+    const int site = 1 + lo / per_site;
+    sources_.push_back(std::make_unique<DataSource>(
+        site, lo,
+        std::vector<Relation>(bases_.begin() + lo,
+                              bases_.begin() + lo + per_site),
+        &view_, &network_, kWarehouseSite, &ids_,
+        SourceStorageOptions{!single_source}));
+    network_.RegisterSite(site, sources_.back().get());
   }
+  std::vector<int> source_sites;
+  for (int r = 0; r < n; ++r) source_sites.push_back(1 + r / per_site);
   warehouses_.push_back(MakeWarehouse(scenario.algorithm, kWarehouseSite,
                                       view_, &network_, source_sites,
                                       scenario.warehouse));
@@ -99,8 +100,7 @@ ControlledSystem::ControlledSystem(const ControlledScenario& scenario,
 
   // Extra warehouses (multi-view deployment): same view, same sources,
   // each running its own algorithm at its own site past the sources.
-  SWEEP_CHECK_MSG(scenario.extra_warehouses.empty() ||
-                      eca_source_ == nullptr,
+  SWEEP_CHECK_MSG(scenario.extra_warehouses.empty() || !single_source,
                   "multi-warehouse scenarios require per-relation sources");
   for (size_t w = 0; w < scenario.extra_warehouses.size(); ++w) {
     const Algorithm alg = scenario.extra_warehouses[w];
@@ -127,11 +127,7 @@ ControlledSystem::ControlledSystem(const ControlledScenario& scenario,
   // happened to send on the link first.
   std::vector<int> all_sites;
   all_sites.push_back(kWarehouseSite);
-  if (eca_source_ != nullptr) {
-    all_sites.push_back(1);
-  } else {
-    for (int r = 0; r < n; ++r) all_sites.push_back(r + 1);
-  }
+  for (const auto& source : sources_) all_sites.push_back(source->site_id());
   for (size_t w = 0; w < scenario.extra_warehouses.size(); ++w) {
     all_sites.push_back(n + 1 + static_cast<int>(w));
   }
@@ -143,16 +139,13 @@ ControlledSystem::ControlledSystem(const ControlledScenario& scenario,
   // fingerprint can describe it canonically while it is still pending.
   for (const ControlledTxn& txn : scenario.txns) {
     SWEEP_CHECK(txn.relation >= 0 && txn.relation < n);
-    const int site = eca_source_ != nullptr ? 1 : txn.relation + 1;
-    const EventLabel label{EventKind::kTxn, -1, site, "txn"};
+    DataSource* source =
+        sources_[static_cast<size_t>(txn.relation / per_site)].get();
+    const EventLabel label{EventKind::kTxn, -1, source->site_id(), "txn"};
     const int rel = txn.relation;
     const auto ops = txn.ops;
-    sim_.ScheduleAt(0, label, TxnDigest(rel, ops), [this, rel, ops]() {
-      if (eca_source_ != nullptr) {
-        eca_source_->ApplyTransaction(rel, ops);
-      } else {
-        sources_[static_cast<size_t>(rel)]->ApplyTransaction(ops);
-      }
+    sim_.ScheduleAt(0, label, TxnDigest(rel, ops), [source, rel, ops]() {
+      source->ApplyTxn(rel, ops);
     });
   }
 
@@ -186,7 +179,6 @@ void ControlledSystem::AttachUndo(UndoLog* undo) {
   sim_.AttachUndo(undo);
   network_.AttachUndo(undo);
   for (auto& source : sources_) source->AttachUndo(undo);
-  if (eca_source_ != nullptr) eca_source_->AttachUndo(undo);
   for (auto& warehouse : warehouses_) warehouse->AttachUndo(undo);
 }
 
@@ -211,10 +203,8 @@ int64_t ControlledSystem::Run(int64_t max_steps) {
 
 std::vector<const StateLog*> ControlledSystem::SourceLogs() const {
   std::vector<const StateLog*> logs;
-  for (int r = 0; r < view_.num_relations(); ++r) {
-    logs.push_back(eca_source_ != nullptr
-                       ? &eca_source_->log(r)
-                       : &sources_[static_cast<size_t>(r)]->log());
+  for (const auto& source : sources_) {
+    for (int r : source->hosted_relations()) logs.push_back(&source->log(r));
   }
   return logs;
 }

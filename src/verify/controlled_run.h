@@ -1,11 +1,12 @@
 // Controlled execution of one maintenance scenario under a pluggable
 // scheduler.
 //
-// Mirrors the harness wiring (sources or ECA's single multi-relation
-// source, pristine FIFO network, warehouse running the chosen algorithm)
-// but attaches a Scheduler to the simulator before anything is scheduled,
-// so the caller — the schedule-space explorer — decides the interleaving
-// of transactions and message deliveries instead of the virtual clock.
+// Mirrors the harness wiring (one source per relation or ECA's single
+// source hosting the whole chain, pristine FIFO network, warehouse running
+// the chosen algorithm) but attaches a Scheduler to the simulator before
+// anything is scheduled, so the caller — the schedule-space explorer —
+// decides the interleaving of transactions and message deliveries instead
+// of the virtual clock.
 // Every transaction is scheduled at t=0: the *schedule*, not timestamps,
 // determines when a source executes it relative to in-flight queries.
 
@@ -27,7 +28,6 @@
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "source/data_source.h"
-#include "source/eca_source.h"
 #include "source/update.h"
 #include "verify/schedule.h"
 
@@ -99,7 +99,7 @@ class RandomScheduler : public Scheduler {
 };
 
 // The fully wired system under a controlled simulator. Sources sit at
-// site ids 1..n, the warehouse at 0.
+// site ids 1..n (ECA's single source at 1), the warehouse at 0.
 class ControlledSystem {
  public:
   ControlledSystem(const ControlledScenario& scenario,
@@ -186,7 +186,6 @@ class ControlledSystem {
     v.Protocol("network_", self.network_);
     v.Protocol("ids_", self.ids_);
     v.Protocol("sources_", self.sources_);
-    v.Protocol("eca_source_", self.eca_source_);
     v.Protocol("warehouses_", self.warehouses_);
   }
 
@@ -196,8 +195,8 @@ class ControlledSystem {
   Simulator sim_;
   Network network_;
   UpdateIdGenerator ids_;
+  // In chain order: one per relation, or ECA's single source.
   std::vector<std::unique_ptr<DataSource>> sources_;
-  std::unique_ptr<EcaSource> eca_source_;
   // warehouses_[0] is the primary (site 0); extras sit past the sources.
   std::vector<std::unique_ptr<Warehouse>> warehouses_;
 };

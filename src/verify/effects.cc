@@ -136,16 +136,12 @@ EffectsIndex EffectsIndex::ForScenario(const ControlledScenario& scenario) {
     index.AddRow(Key{"crash", 0}, primary, "crash", 0, drops);
   }
 
-  // Sources at 1..n (or the single multi-relation ECA source at 1):
-  // query deliveries and the transaction stream.
-  if (RequiresSingleSource(scenario.algorithm)) {
-    index.AddRow(Key{"deliver", 1}, "EcaSource", "query", 1, drops);
-    index.AddRow(Key{"txn", 1}, "EcaSource", "txn", 1, drops);
-  } else {
-    for (int s = 1; s <= n; ++s) {
-      index.AddRow(Key{"deliver", s}, "DataSource", "query", s, drops);
-      index.AddRow(Key{"txn", s}, "DataSource", "txn", s, drops);
-    }
+  // Sources at 1..n (or ECA's single source at 1, hosting the whole
+  // chain): query deliveries and the transaction stream.
+  const int num_sources = RequiresSingleSource(scenario.algorithm) ? 1 : n;
+  for (int s = 1; s <= num_sources; ++s) {
+    index.AddRow(Key{"deliver", s}, "DataSource", "query", s, drops);
+    index.AddRow(Key{"txn", s}, "DataSource", "txn", s, drops);
   }
 
   // Extra warehouses past the sources (multi-view deployment).

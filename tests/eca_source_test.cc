@@ -1,4 +1,7 @@
-#include "source/eca_source.h"
+// A DataSource hosting the whole chain: ECA's centralized source
+// (Section 3), which evaluates signed-term queries in one event.
+
+#include "source/data_source.h"
 
 #include <gtest/gtest.h>
 
@@ -25,8 +28,9 @@ struct Fixture {
   Fixture()
       : view(PaperView()),
         network(&sim, LatencyModel::Fixed(10), 1),
-        source(/*site_id=*/1, PaperBases(view), &view, &network,
-               /*warehouse_site=*/0, &ids) {
+        source(/*site_id=*/1, /*first_relation=*/0, PaperBases(view), &view,
+               &network, /*warehouse_site=*/0, &ids,
+               SourceStorageOptions{/*use_indexes=*/false}) {
     network.RegisterSite(0, &sink);
     network.RegisterSite(1, &source);
   }
@@ -36,13 +40,13 @@ struct Fixture {
   Network network;
   UpdateIdGenerator ids;
   SinkSite sink;
-  EcaSource source;
+  DataSource source;
 };
 
 TEST(EcaSourceTest, AppliesTransactionsPerRelation) {
   Fixture f;
-  f.source.ApplyTransaction(1, {UpdateOp::Insert(IntTuple({3, 5}))});
-  f.source.ApplyTransaction(0, {UpdateOp::Delete(IntTuple({2, 3}))});
+  f.source.ApplyTxn(1, {UpdateOp::Insert(IntTuple({3, 5}))});
+  f.source.ApplyTxn(0, {UpdateOp::Delete(IntTuple({2, 3}))});
   EXPECT_EQ(f.source.relation(1).CountOf(IntTuple({3, 5})), 1);
   EXPECT_EQ(f.source.relation(0).CountOf(IntTuple({2, 3})), 0);
   EXPECT_EQ(f.source.log(1).updates().size(), 1u);
@@ -104,7 +108,7 @@ TEST(EcaSourceTest, AtomicEvaluationSeesOneState) {
   // applied before the query arrives are all visible, updates applied
   // after are all invisible.
   Fixture f;
-  f.source.ApplyTransaction(2, {UpdateOp::Delete(IntTuple({7, 8}))});
+  f.source.ApplyTxn(2, {UpdateOp::Delete(IntTuple({7, 8}))});
 
   EcaTerm term;
   term.sign = 1;

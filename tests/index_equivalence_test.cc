@@ -150,8 +150,8 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(11u, 29u)),
     ParamName);
 
-// Co-hosted relations (MultiRelationSource) go through the same indexed
-// path; equivalence must hold there too.
+// Co-hosted relations (a DataSource hosting several) go through the same
+// indexed path; equivalence must hold there too.
 TEST(IndexEquivalenceTopology, MultiRelationSourcesMatch) {
   ScenarioConfig config = BaseConfig(Algorithm::kSweep, 5);
   config.chain.num_relations = 4;

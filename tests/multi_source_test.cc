@@ -1,4 +1,7 @@
-#include "source/multi_source.h"
+// A DataSource co-hosting several chain relations (Section 2's general
+// form), and the harness topologies built from such sites.
+
+#include "source/data_source.h"
 
 #include <gtest/gtest.h>
 
@@ -27,13 +30,11 @@ struct Fixture {
   Fixture()
       : view(PaperView()),
         network(&sim, LatencyModel::Fixed(10), 1),
-        source(/*site_id=*/1,
+        source(/*site_id=*/1, /*first_relation=*/0,
                [this] {
-                 std::vector<std::pair<int, Relation>> hosted;
-                 auto bases = PaperBases(view);
-                 hosted.emplace_back(0, bases[0]);
-                 hosted.emplace_back(1, bases[1]);
-                 return hosted;
+                 std::vector<Relation> bases = PaperBases(view);
+                 bases.pop_back();  // host R1 and R2, not R3
+                 return bases;
                }(),
                &view, &network, /*warehouse_site=*/0, &ids) {
     network.RegisterSite(0, &sink);
@@ -45,14 +46,14 @@ struct Fixture {
   Network network;
   UpdateIdGenerator ids;
   SinkSite sink;
-  MultiRelationSource source;
+  DataSource source;
 };
 
 TEST(MultiSourceTest, HostsSeveralRelations) {
   Fixture f;
   EXPECT_EQ(f.source.hosted_relations(), (std::vector<int>{0, 1}));
-  EXPECT_EQ(f.source.RelationOf(0).CountOf(IntTuple({1, 3})), 1);
-  EXPECT_EQ(f.source.RelationOf(1).CountOf(IntTuple({3, 7})), 1);
+  EXPECT_EQ(f.source.relation(0).CountOf(IntTuple({1, 3})), 1);
+  EXPECT_EQ(f.source.relation(1).CountOf(IntTuple({3, 7})), 1);
 }
 
 TEST(MultiSourceTest, TransactionsPerRelationShareTheChannel) {
@@ -69,8 +70,8 @@ TEST(MultiSourceTest, TransactionsPerRelationShareTheChannel) {
   EXPECT_EQ(m0->update.relation, 0);
   EXPECT_EQ(m1->update.relation, 1);
   // Per-relation ground truth logged separately.
-  EXPECT_EQ(f.source.LogOf(0).updates().size(), 1u);
-  EXPECT_EQ(f.source.LogOf(1).updates().size(), 1u);
+  EXPECT_EQ(f.source.log(0).updates().size(), 1u);
+  EXPECT_EQ(f.source.log(1).updates().size(), 1u);
 }
 
 TEST(MultiSourceTest, AnswersQueriesForEachHostedRelation) {

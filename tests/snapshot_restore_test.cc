@@ -84,8 +84,9 @@ TEST(SnapshotRestoreTest, SnapshotSurvivesRepeatedRestores) {
 }
 
 TEST(SnapshotRestoreTest, SingleSourceEcaSystemRoundTrips) {
-  // EcaAnomalyScenario wires the single multi-relation EcaSource (site 1)
-  // instead of one DataSource per relation — the other SaveState branch.
+  // EcaAnomalyScenario wires ECA's single source (site 1), one DataSource
+  // whose stores and logs span the whole chain, instead of one per
+  // relation.
   for (bool compensation : {true, false}) {
     ControlledScenario scenario = EcaAnomalyScenario(compensation);
     ReplayScheduler scheduler(std::vector<size_t>{});

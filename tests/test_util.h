@@ -13,7 +13,6 @@
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "source/data_source.h"
-#include "source/eca_source.h"
 
 namespace sweepmv {
 namespace testing_util {
@@ -40,7 +39,8 @@ inline std::vector<Relation> PaperBases(const ViewDef& view) {
 }
 
 // A fully wired distributed system under test. Sources sit at site ids
-// 1..n, the warehouse at 0.
+// 1..n (ECA's single source, hosting the whole chain, at 1), the
+// warehouse at 0.
 class System {
  public:
   System(Algorithm algorithm, ViewDef view, std::vector<Relation> bases,
@@ -50,20 +50,19 @@ class System {
         bases_(std::move(bases)),
         network_(&sim_, latency, /*seed=*/1) {
     const int n = view_.num_relations();
+    const bool single_source = RequiresSingleSource(algorithm);
+    per_site_ = single_source ? n : 1;
     std::vector<int> source_sites;
-    if (RequiresSingleSource(algorithm)) {
-      source_sites.assign(static_cast<size_t>(n), 1);
-      eca_source_ = std::make_unique<EcaSource>(1, bases_, &view_,
-                                                &network_, 0, &ids_);
-      network_.RegisterSite(1, eca_source_.get());
-    } else {
-      for (int r = 0; r < n; ++r) {
-        source_sites.push_back(r + 1);
-        sources_.push_back(std::make_unique<DataSource>(
-            r + 1, r, bases_[static_cast<size_t>(r)], &view_, &network_, 0,
-            &ids_));
-        network_.RegisterSite(r + 1, sources_.back().get());
-      }
+    for (int r = 0; r < n; ++r) source_sites.push_back(1 + r / per_site_);
+    for (int lo = 0; lo < n; lo += per_site_) {
+      const int site = 1 + lo / per_site_;
+      sources_.push_back(std::make_unique<DataSource>(
+          site, lo,
+          std::vector<Relation>(bases_.begin() + lo,
+                                bases_.begin() + lo + per_site_),
+          &view_, &network_, 0, &ids_,
+          SourceStorageOptions{!single_source}));
+      network_.RegisterSite(site, sources_.back().get());
     }
     warehouse_ = MakeWarehouse(algorithm, 0, view_, &network_,
                                source_sites, config);
@@ -83,13 +82,8 @@ class System {
     ScheduleTxn(at, rel, {UpdateOp::Delete(std::move(t))});
   }
   void ScheduleTxn(SimTime at, int rel, std::vector<UpdateOp> ops) {
-    sim_.ScheduleAt(at, [this, rel, ops]() {
-      if (eca_source_ != nullptr) {
-        eca_source_->ApplyTransaction(rel, ops);
-      } else {
-        sources_[static_cast<size_t>(rel)]->ApplyTransaction(ops);
-      }
-    });
+    DataSource* source = SourceOf(rel);
+    sim_.ScheduleAt(at, [source, rel, ops]() { source->ApplyTxn(rel, ops); });
   }
 
   void Run() { sim_.Run(); }
@@ -98,9 +92,7 @@ class System {
   Relation ExpectedView() const {
     std::vector<const Relation*> rels;
     for (int r = 0; r < view_.num_relations(); ++r) {
-      rels.push_back(eca_source_ != nullptr
-                         ? &eca_source_->relation(r)
-                         : &sources_[static_cast<size_t>(r)]->relation());
+      rels.push_back(&SourceOf(r)->relation(r));
     }
     return view_.EvaluateFull(rels);
   }
@@ -108,9 +100,7 @@ class System {
   std::vector<const StateLog*> SourceLogs() const {
     std::vector<const StateLog*> logs;
     for (int r = 0; r < view_.num_relations(); ++r) {
-      logs.push_back(eca_source_ != nullptr
-                         ? &eca_source_->log(r)
-                         : &sources_[static_cast<size_t>(r)]->log());
+      logs.push_back(&SourceOf(r)->log(r));
     }
     return logs;
   }
@@ -119,17 +109,20 @@ class System {
   Network& network() { return network_; }
   Warehouse& warehouse() { return *warehouse_; }
   const ViewDef& view_def() const { return view_; }
-  DataSource& source(int rel) { return *sources_[static_cast<size_t>(rel)]; }
-  EcaSource& eca_source() { return *eca_source_; }
 
  private:
+  // The site hosting chain relation `rel`.
+  DataSource* SourceOf(int rel) const {
+    return sources_[static_cast<size_t>(rel / per_site_)].get();
+  }
+
   ViewDef view_;
   std::vector<Relation> bases_;
   Simulator sim_;
   Network network_;
   UpdateIdGenerator ids_;
+  int per_site_ = 1;
   std::vector<std::unique_ptr<DataSource>> sources_;
-  std::unique_ptr<EcaSource> eca_source_;
   std::unique_ptr<Warehouse> warehouse_;
 };
 

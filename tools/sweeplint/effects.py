@@ -12,7 +12,7 @@ source-local transaction.
 This pass computes the missing ground truth statically. For every event
 handler reachable from the controlled simulator's dispatch points —
 message delivery (`OnMessage`), transaction application
-(`ApplyTransaction`), and the internal crash (`CrashAndRecover`) and
+(`ApplyTxn`), and the internal crash (`CrashAndRecover`) and
 drop-arming (`ArmControlledDrop`) arms — it infers the set of persistent
 state members the handler may read, write, or commutatively increment,
 propagating effects inter-procedurally with the same fixpoint-summary
@@ -22,13 +22,14 @@ handler in the *leaf* class context (summaries are keyed on
 `HandleUpdateArrival` lands in the concrete algorithm's body.
 
 Effect atoms are (class, member, kind) triples over the persistent
-protocol classes only: the Warehouse hierarchy, the source sites
-(DataSource/EcaSource), UpdateIdGenerator, the Network channel state,
-and the shard router. Transient helpers (Relation, CheckpointWriter,
-Rng, ...) are not tracked as objects — a call like `store_.Merge(delta)`
-is classified as a write *of the member holding them* instead. Members
-their class's state list tags Fixed (wiring and immutable configuration)
-are not state and produce no atoms.
+protocol classes only: the Warehouse hierarchy, the source site
+(DataSource, one class for every source topology), UpdateIdGenerator,
+the Network channel state, and the shard router. Transient helpers
+(Relation, CheckpointWriter, Rng, ...) are not tracked as objects — a
+call like `stores_[slot].Merge(delta)` is classified as a write *of the
+member holding them* instead. Members their class's state list tags
+Fixed (wiring and immutable configuration) are not state and produce no
+atoms.
 
 Kinds:
   read   — the handler's behavior may depend on the member's value
@@ -88,8 +89,9 @@ EFFECTS_SCOPE = ("src/",)
 # effect atoms. Everything else is either wiring (exempt members), the
 # simulator substrate, or transient value types whose mutation is
 # attributed to the member holding them.
-_PERSISTENT_BASES = ("Warehouse", "SourceSite")
-_PERSISTENT_EXTRA = ("Network", "UpdateIdGenerator", "ShardRouter")
+_PERSISTENT_BASES = ("Warehouse",)
+_PERSISTENT_EXTRA = ("DataSource", "Network", "UpdateIdGenerator",
+                     "ShardRouter")
 
 # The state-list entry points (src/common/state.h): the lists mention
 # every member by design, and undo capture records them all at the top
@@ -876,12 +878,11 @@ def _dispatch_roots(ctx: _EffCtx) -> List[Tuple[str, str, str]]:
                 roots.append((cls, "message", "OnMessage"))
             if ctx.body_for(cls, "CrashAndRecover") is not None:
                 roots.append((cls, "crash", "CrashAndRecover"))
-    if "SourceSite" in model.classes:
-        for cls in derived_closure(model, "SourceSite"):
-            if ctx.body_for(cls, "ApplyTransaction") is not None:
-                roots.append((cls, "txn", "ApplyTransaction"))
-            if ctx.body_for(cls, "OnMessage") is not None:
-                roots.append((cls, "query", "OnMessage"))
+    if "DataSource" in model.classes:
+        if ctx.body_for("DataSource", "ApplyTxn") is not None:
+            roots.append(("DataSource", "txn", "ApplyTxn"))
+        if ctx.body_for("DataSource", "OnMessage") is not None:
+            roots.append(("DataSource", "query", "OnMessage"))
     if "Network" in model.classes and ctx.body_for(
         "Network", "ArmControlledDrop"
     ) is not None:

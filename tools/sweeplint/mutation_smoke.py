@@ -88,7 +88,7 @@ HIDE_WRITE_FLOOR = 6
 # kind column of the effect table -> the dispatch method it summarizes.
 _KIND_TO_METHOD = {
     "message": "OnMessage",
-    "txn": "ApplyTransaction",
+    "txn": "ApplyTxn",
     "query": "OnMessage",
     "crash": "CrashAndRecover",
     "arm-drop": "ArmControlledDrop",
