@@ -126,6 +126,7 @@ class ControlledSystem {
   ConsistencyReport Check() const;
 
   const Warehouse& warehouse() const { return *warehouses_.front(); }
+  Warehouse& mutable_warehouse() { return *warehouses_.front(); }
   const Warehouse& warehouse(size_t i) const { return *warehouses_[i]; }
   size_t num_warehouses() const { return warehouses_.size(); }
   const ViewDef& view_def() const { return view_; }
