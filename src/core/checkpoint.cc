@@ -275,4 +275,32 @@ Message CheckpointReader::ReadRequest() {
   return SnapshotRequest{};
 }
 
+void DurableView::Cut(const Relation& view, const Relation* delta) {
+  if (delta != nullptr && !bytes_.empty()) {
+    if (delta->Empty()) return;
+    CheckpointWriter w(std::move(bytes_));
+    w.WriteRelation(*delta);
+    if (w.size() - base_size_ <= base_size_) {
+      bytes_ = w.Take();
+      return;
+    }
+  }
+  CheckpointWriter w;
+  w.WriteRelation(view);
+  bytes_ = w.Take();
+  base_size_ = bytes_.size();
+}
+
+Relation DurableView::Rebuild() const {
+  CheckpointReader r(bytes_);
+  Relation view = r.ReadRelation();
+  while (!r.AtEnd()) view.Merge(r.ReadRelation());
+  return view;
+}
+
+void EncodeLeaf(CheckpointWriter& w, const DurableView& x) {
+  w.WriteBool(!x.empty());
+  if (!x.empty()) w.WriteRelation(x.Rebuild());
+}
+
 }  // namespace sweepmv

@@ -187,15 +187,24 @@ bool Warehouse::ResolveSnapshotPart(int64_t query_id, int relation) {
 }
 
 std::string Warehouse::SerializeCheckpoint() const {
+  return EncodeCheckpoint(/*apart=*/nullptr);
+}
+
+void Warehouse::RestoreFromCheckpoint(const std::string& bytes) {
+  DecodeCheckpoint(bytes, /*apart=*/nullptr);
+}
+
+std::string Warehouse::EncodeCheckpoint(const void* apart) const {
   CheckpointWriter w;
-  StateEncoder<CheckpointWriter> encoder(w);
+  StateEncoder<CheckpointWriter> encoder(w, /*durable=*/false, apart);
   VisitState(*this, encoder);
   return w.Take();
 }
 
-void Warehouse::RestoreFromCheckpoint(const std::string& bytes) {
+void Warehouse::DecodeCheckpoint(const std::string& bytes,
+                                 const void* apart) {
   CheckpointReader r(bytes);
-  StateDecoder<CheckpointReader> decoder(r);
+  StateDecoder<CheckpointReader> decoder(r, apart);
   VisitState(*this, decoder);
   SWEEP_CHECK_MSG(r.AtEnd(), "checkpoint not fully consumed on restore");
 }
@@ -209,10 +218,13 @@ void HashLeaf(StateHasher& h, const char* tag, const Warehouse& w) {
 }
 
 void Warehouse::TakeCheckpoint() {
-  durable_checkpoint_ = SerializeCheckpoint();
+  durable_view_.Cut(view_, delta_since_cut_ ? &*delta_since_cut_ : nullptr);
+  delta_since_cut_.emplace(view_.schema());
+  durable_checkpoint_ = EncodeCheckpoint(/*apart=*/&view_);
   durable_wal_.clear();
   ++checkpoints_taken_;
-  const auto size = static_cast<int64_t>(durable_checkpoint_.size());
+  const auto size =
+      static_cast<int64_t>(durable_checkpoint_.size() + durable_view_.size());
   if (size > checkpoint_bytes_max_) checkpoint_bytes_max_ = size;
 }
 
@@ -267,8 +279,11 @@ void Warehouse::Recover() {
   ++timer_gen_;
   ++durable_epoch_;
   epoch_ = durable_epoch_;
+  // Restoring also truncates the audit logs to the lengths the cut
+  // recorded, before the WAL replay below appends to them again.
   if (!durable_checkpoint_.empty()) {
-    RestoreFromCheckpoint(durable_checkpoint_);
+    DecodeCheckpoint(durable_checkpoint_, /*apart=*/&view_);
+    view_ = durable_view_.Rebuild();
   }
   SWEEP_LOG(Info) << name() << " recovering under epoch " << epoch_
                   << ": " << pending_queries_.size()
@@ -425,6 +440,7 @@ void Warehouse::InstallViewDelta(Relation view_delta,
   // (sharded-view fragment sums, bench taps); controlled explorations
   // never install one, and the dynamic oracle enforces that.
   if (observer_) observer_(view_delta, update_ids);
+  if (delta_since_cut_) delta_since_cut_->Merge(view_delta);
   view_.Merge(std::move(view_delta));
   SWEEP_LOG(Debug) << name() << " view now " << view_.ToDisplayString();
   RecordInstall(std::move(update_ids));
@@ -441,6 +457,8 @@ void Warehouse::InstallAbsoluteView(Relation new_view,
     observer_(delta, update_ids);
   }
   view_ = std::move(new_view);
+  // The delta is not built here, so the next cut rewrites the base.
+  delta_since_cut_.reset();
   RecordInstall(std::move(update_ids));
 }
 

@@ -134,6 +134,26 @@ TEST(ContractDeathTest, ShardedSourceCrashWithoutFaultPlanAborts) {
   EXPECT_DEATH(RunShardedScenario(config), "FaultPlan::enabled");
 }
 
+// A checkpoint holds each audit log's length, and restoring truncates the
+// live log to it. A fresh warehouse's logs are shorter than another run's
+// recorded lengths: restoring that run's checkpoint aborts, naming the
+// first short log, instead of adopting a history that never happened.
+TEST(ContractDeathTest, RestoringAnotherRunsCheckpointAborts) {
+  UseThreadsafeDeathTests();
+  testing_util::System finished(Algorithm::kSweep, PaperView(),
+                                PaperBases(PaperView()));
+  finished.ScheduleInsert(0, 1, IntTuple({3, 5}));
+  finished.ScheduleDelete(0, 2, IntTuple({7, 8}));
+  finished.Run();
+  const std::string bytes = finished.warehouse().SerializeCheckpoint();
+
+  testing_util::System fresh(Algorithm::kSweep, PaperView(),
+                             PaperBases(PaperView()));
+  EXPECT_DEATH(fresh.warehouse().RestoreFromCheckpoint(bytes),
+               "checkpoint records 2 entries of the log arrival_log_, but "
+               "the live log holds 0");
+}
+
 TEST(ContractDeathTest, SchedulingInThePastAborts) {
   UseThreadsafeDeathTests();
   Simulator sim;

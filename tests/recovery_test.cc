@@ -120,6 +120,40 @@ TEST(RecoveryTest, EveryAlgorithmSurvivesAControlledCrash) {
   }
 }
 
+// A checkpoint records each audit log's length, not its entries, so the
+// view copy log_installs keeps per install costs the checkpoint nothing.
+// The run is BENCH_recovery.json's cadence-1 row: a checkpoint per update
+// and a warehouse crash mid-run.
+TEST(RecoveryTest, CheckpointSizeDoesNotDependOnTheInstallLog) {
+  RunResult runs[2];
+  for (bool log_installs : {true, false}) {
+    ScenarioConfig config;
+    config.algorithm = Algorithm::kSweep;
+    config.chain.num_relations = 3;
+    config.chain.initial_tuples = 12;
+    config.chain.join_domain = 6;
+    config.workload.total_txns = 40;
+    config.workload.mean_interarrival = 4'000;
+    config.latency = LatencyModel::Jittered(500, 1'000);
+    config.fault_plan.enabled = true;
+    config.fault_plan.reliability = true;
+    config.fault_plan.checkpoint_every = 1;
+    config.fault_plan.query_timeout = 30'000;
+    config.fault_plan.warehouse_crashes.push_back({80'000, 100'000});
+    config.warehouse.base.log_installs = log_installs;
+    runs[log_installs ? 0 : 1] = RunScenario(config);
+  }
+  const RunResult& on = runs[0];
+  const RunResult& off = runs[1];
+  EXPECT_EQ(on.warehouse_recoveries, 1);
+  EXPECT_GT(on.checkpoints_taken, 1);
+  EXPECT_EQ(on.checkpoint_bytes_max, off.checkpoint_bytes_max);
+  EXPECT_EQ(on.checkpoints_taken, off.checkpoints_taken);
+  EXPECT_EQ(on.wal_updates_replayed, off.wal_updates_replayed);
+  EXPECT_EQ(on.final_view, off.final_view);
+  EXPECT_EQ(on.final_view, on.expected_view);
+}
+
 // Crashing without a durable store is a contract violation, not silent
 // data loss.
 TEST(RecoveryDeathTest, CrashWithoutDurableStoreIsRefused) {

@@ -101,11 +101,13 @@ _INSTRUMENTATION_METHODS = frozenset(
 )
 
 # The checkpoint codec derived from the state lists, modeled from the
-# lists themselves: serializing reads, and restoring writes, every
-# checkpointed member of the warehouse and of its algorithm.
+# lists themselves: encoding reads, and decoding writes, every
+# checkpointed member of the warehouse and of its algorithm. The public
+# SerializeCheckpoint / RestoreFromCheckpoint and the durable store's cut
+# and recovery all go through these two.
 _CHECKPOINT_CODEC = {
-    "SerializeCheckpoint": "read",
-    "RestoreFromCheckpoint": "write",
+    "EncodeCheckpoint": "read",
+    "DecodeCheckpoint": "write",
 }
 
 # Container/object methods that cannot mutate their receiver. A member
