@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "harness/scenario.h"
 
@@ -65,34 +68,51 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Soak,
 
 TEST(CrashSoak, EveryAlgorithmSurvivesAWarehouseCrashUnchanged) {
   // Crash-recovery must be invisible in the result: the same workload run
-  // with a mid-run warehouse crash/restart ends in a final view
-  // byte-identical to the crash-free run's, for every algorithm.
-  for (Algorithm a : AllAlgorithmVariants()) {
-    ScenarioConfig config;
-    config.algorithm = a;
-    config.chain.num_relations = 3;
-    config.chain.initial_tuples = 10;
-    config.chain.join_domain = 4;
-    config.workload.total_txns = 16;
-    config.workload.mean_interarrival = 6'000.0;
+  // with mid-run warehouse crash/restarts ends in a final view
+  // byte-identical to the crash-free run's, for every algorithm. The
+  // second input is long enough that each recovery rebuilds the view from
+  // a base image plus several delta records, and that the base is
+  // rewritten before the second crash.
+  struct Input {
+    int txns;
+    std::vector<FaultPlan::WarehouseCrashEvent> crashes;
+  };
+  const Input inputs[] = {
+      {16, {{35'000, 55'000}}},
+      {120, {{230'000, 250'000}, {500'000, 520'000}}},
+  };
+  for (const Input& input : inputs) {
+    for (Algorithm a : AllAlgorithmVariants()) {
+      ScenarioConfig config;
+      config.algorithm = a;
+      config.chain.num_relations = 3;
+      config.chain.initial_tuples = 10;
+      config.chain.join_domain = 4;
+      config.workload.total_txns = input.txns;
+      config.workload.mean_interarrival = 6'000.0;
 
-    RunResult clean = RunScenario(config);
-    ASSERT_TRUE(clean.completed) << AlgorithmName(a);
-    ASSERT_EQ(clean.final_view, clean.expected_view) << AlgorithmName(a);
+      RunResult clean = RunScenario(config);
+      ASSERT_TRUE(clean.completed) << AlgorithmName(a);
+      ASSERT_EQ(clean.final_view, clean.expected_view) << AlgorithmName(a);
 
-    ScenarioConfig crashed = config;
-    crashed.fault_plan.enabled = true;
-    crashed.fault_plan.reliability = true;
-    crashed.fault_plan.checkpoint_every = 2;
-    crashed.fault_plan.query_timeout = 30'000;
-    crashed.fault_plan.warehouse_crashes.push_back({35'000, 55'000});
-    RunResult result = RunScenario(crashed);
+      ScenarioConfig crashed = config;
+      crashed.fault_plan.enabled = true;
+      crashed.fault_plan.reliability = true;
+      crashed.fault_plan.checkpoint_every = 2;
+      crashed.fault_plan.query_timeout = 30'000;
+      crashed.fault_plan.warehouse_crashes = input.crashes;
+      RunResult result = RunScenario(crashed);
 
-    EXPECT_TRUE(result.completed) << AlgorithmName(a);
-    EXPECT_EQ(result.warehouse_recoveries, 1) << AlgorithmName(a);
-    EXPECT_TRUE(result.consistency.final_state_correct)
-        << AlgorithmName(a) << ": " << result.consistency.detail;
-    EXPECT_EQ(result.final_view, clean.final_view) << AlgorithmName(a);
+      const std::string what =
+          std::string(AlgorithmName(a)) + " txns=" + std::to_string(input.txns);
+      EXPECT_TRUE(result.completed) << what;
+      EXPECT_EQ(result.warehouse_recoveries,
+                static_cast<int64_t>(input.crashes.size()))
+          << what;
+      EXPECT_TRUE(result.consistency.final_state_correct)
+          << what << ": " << result.consistency.detail;
+      EXPECT_EQ(result.final_view, clean.final_view) << what;
+    }
   }
 }
 
