@@ -142,7 +142,7 @@ struct RunResult {
   int64_t warehouse_recoveries = 0;
   int64_t wal_updates_replayed = 0;       // WAL entries re-applied on recovery
   int64_t checkpoints_taken = 0;
-  int64_t checkpoint_bytes_max = 0;       // largest serialized checkpoint
+  int64_t checkpoint_bytes_max = 0;       // largest durable image
   int64_t pre_epoch_answers_ignored = 0;  // stale-epoch answers discarded
   int64_t max_query_attempts = 0;         // most sends any one query needed
   // Growable dedup-state entries left at the warehouse after the run
