@@ -7,6 +7,8 @@
 #include "relational/partial_delta.h"
 #include "shard/sharded_scenario.h"
 #include "test_util.h"
+#include "verify/explorer.h"
+#include "verify/scenarios.h"
 
 namespace sweepmv {
 namespace {
@@ -160,6 +162,39 @@ TEST(ContractDeathTest, SchedulingInThePastAborts) {
   sim.Schedule(100, [] {});
   sim.Run();
   EXPECT_DEATH(sim.ScheduleAt(50, [] {}), "cannot schedule in the past");
+}
+
+// ExploreExhaustive rejects an engine combination it cannot run rather
+// than quietly running a different one.
+ExplorerConfig PaperExampleExploration() {
+  ExplorerConfig config{PaperExampleScenario(Algorithm::kSweep),
+                        ConsistencyLevel::kComplete};
+  return config;
+}
+
+TEST(ContractDeathTest, ExploringWithNoThreadsAborts) {
+  UseThreadsafeDeathTests();
+  ExplorerConfig config = PaperExampleExploration();
+  config.threads = 0;
+  EXPECT_DEATH(ExploreExhaustive(config), "threads must be positive");
+}
+
+TEST(ContractDeathTest, ParallelStatelessExplorationAborts) {
+  UseThreadsafeDeathTests();
+  ExplorerConfig config = PaperExampleExploration();
+  config.share_prefixes = false;
+  config.threads = 2;
+  EXPECT_DEATH(ExploreExhaustive(config),
+               "parallel exploration requires prefix sharing");
+}
+
+TEST(ContractDeathTest, StatelessStateDedupAborts) {
+  UseThreadsafeDeathTests();
+  ExplorerConfig config = PaperExampleExploration();
+  config.share_prefixes = false;
+  config.dedup_states = true;
+  EXPECT_DEATH(ExploreExhaustive(config),
+               "state dedup requires the prefix-sharing engine");
 }
 
 }  // namespace
