@@ -60,6 +60,43 @@ TEST(ExplorerTest, PartialOrderReductionPrunesAtLeast2x) {
   EXPECT_EQ(por.violations, naive.violations);
 }
 
+TEST(ExplorerTest, ExactScheduleBudgetCoversTheSpace) {
+  // The worked example has 72 schedules under POR. A budget of exactly 72
+  // covers the space; the search stops only when a 73rd would be
+  // classified, so 71 does not.
+  ExplorerConfig config = ExhaustiveConfig(
+      PaperExampleScenario(Algorithm::kSweep), ConsistencyLevel::kComplete);
+  ExplorerConfig stateless = config;
+  stateless.share_prefixes = false;
+  ExplorerConfig snapshot = config;
+  snapshot.use_undo = false;
+  ExplorerConfig parallel = config;
+  parallel.threads = 4;
+  const std::pair<const char*, ExplorerConfig> engines[] = {
+      {"stateless", stateless},
+      {"snapshot", snapshot},
+      {"undo", config},
+      {"4 threads", parallel}};
+  for (auto [name, engine] : engines) {
+    engine.max_schedules = 72;
+    const ExploreResult exact = ExploreExhaustive(engine);
+    EXPECT_TRUE(exact.exhausted) << name;
+    EXPECT_EQ(exact.schedules, 72) << name;
+    if (engine.threads > 1) continue;
+    engine.max_schedules = 71;
+    const ExploreResult short_by_one = ExploreExhaustive(engine);
+    EXPECT_FALSE(short_by_one.exhausted) << name;
+    EXPECT_EQ(short_by_one.schedules, 71) << name;
+  }
+  // With threads > 1 the budget bounds each subtree task: every task of
+  // the four-thread split classifies at most 18 schedules, so all 72 are
+  // covered.
+  parallel.max_schedules = 18;
+  const ExploreResult per_task = ExploreExhaustive(parallel);
+  EXPECT_TRUE(per_task.exhausted);
+  EXPECT_EQ(per_task.schedules, 72);
+}
+
 TEST(ExplorerTest, CompensatingEcaConsistentOnEveryInterleaving) {
   ExploreResult result = ExploreExhaustive(
       ExhaustiveConfig(EcaAnomalyScenario(/*compensation=*/true),
