@@ -245,23 +245,27 @@ std::string ControlledOutcome::Fingerprint() const {
   return out;
 }
 
-ControlledOutcome RunWithChoices(const ControlledScenario& scenario,
-                                 const std::vector<size_t>& choices,
-                                 int64_t max_steps) {
-  ReplayScheduler scheduler(choices);
-  ControlledSystem system(scenario, &scheduler);
+ControlledOutcome RunVerdict(const ControlledSystem& system, int64_t steps) {
   ControlledOutcome outcome;
-  outcome.steps = system.Run(max_steps);
+  outcome.steps = steps;
   outcome.completed = system.Drained() && system.WarehouseIdle();
   if (outcome.completed) {
     outcome.report = system.Check();
   } else {
     outcome.report.level = ConsistencyLevel::kInconsistent;
-    outcome.report.detail =
-        system.Drained()
-            ? "run drained with the warehouse still busy"
-            : "run exceeded the step budget (runaway schedule?)";
+    outcome.report.detail = system.Drained()
+                                ? "run drained with the warehouse busy"
+                                : "run exceeded the step budget";
   }
+  return outcome;
+}
+
+ControlledOutcome RunWithChoices(const ControlledScenario& scenario,
+                                 const std::vector<size_t>& choices,
+                                 int64_t max_steps) {
+  ReplayScheduler scheduler(choices);
+  ControlledSystem system(scenario, &scheduler);
+  ControlledOutcome outcome = RunVerdict(system, system.Run(max_steps));
   outcome.trace = scheduler.trace();
   outcome.installs = system.warehouse().install_log().size();
   outcome.final_view = system.warehouse().view().ToDisplayString();

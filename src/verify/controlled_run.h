@@ -219,6 +219,12 @@ struct ControlledOutcome {
   std::string Fingerprint() const;
 };
 
+// The end-of-run verdict after `steps` steps. A run that drained with
+// every warehouse idle is classified against the consistency lattice; one
+// that drained with a warehouse busy (wedged) or still has events pending
+// (runaway) is inconsistent. Every explorer mode classifies through here.
+ControlledOutcome RunVerdict(const ControlledSystem& system, int64_t steps);
+
 // Replays `choices` (defaults past the end) and classifies the run.
 ControlledOutcome RunWithChoices(const ControlledScenario& scenario,
                                  const std::vector<size_t>& choices,
