@@ -1,21 +1,18 @@
-// Undo-log backtracking and state fingerprinting (src/common/undo.h,
-// src/verify/).
+// Undo-log backtracking (src/common/undo.h, src/verify/).
 //
 // The explorer's fast path rewinds a decision point by popping undo
-// entries instead of restoring a full snapshot, and prunes subtrees whose
-// canonical fingerprint it has already classified. Both are only sound if
-// (a) a rollback reproduces the watermark state byte-for-byte — pinned
-// here against two independent oracles, CanonicalDebugDump equality and
+// entries instead of restoring a full snapshot. That is only sound if a
+// rollback reproduces the watermark state byte-for-byte — pinned here
+// against two independent oracles, CanonicalDebugDump equality and
 // SaveState/RestoreState — for every maintenance algorithm, crash
-// recovery included; and (b) the fingerprint is a pure function of the
-// logical state, never of the schedule or the process that computed it.
+// recovery included. The fingerprint's own tests are in
+// fingerprint_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "common/fingerprint.h"
 #include "common/undo.h"
 #include "verify/controlled_run.h"
 #include "verify/explorer.h"
@@ -165,50 +162,6 @@ TEST(UndoRoundTripTest, CrashAndRecoveryRollBackCleanly) {
   system.Run(100'000);
   ASSERT_TRUE(system.Drained());
   EXPECT_GE(system.warehouse().recoveries(), 1);
-}
-
-// --- Fingerprint determinism ----------------------------------------------
-
-TEST(FingerprintTest, IndependentOfProcessHistory) {
-  // Two separately constructed systems driven through the same schedule
-  // must agree on the fingerprint at every step — nothing address- or
-  // allocation-order-dependent may leak into the hash.
-  ControlledScenario scenario = PaperExampleScenario(Algorithm::kStrobe);
-  ReplayScheduler sched_a(std::vector<size_t>{1});
-  ReplayScheduler sched_b(std::vector<size_t>{1});
-  ControlledSystem a(scenario, &sched_a);
-  ControlledSystem b(scenario, &sched_b);
-  for (int step = 0; step < 12; ++step) {
-    Fp128 fa, fb;
-    ASSERT_EQ(a.HashState(&fa), b.HashState(&fb)) << step;
-    EXPECT_EQ(fa, fb) << step;
-    EXPECT_EQ(a.CanonicalDebugDump(), b.CanonicalDebugDump()) << step;
-    if (a.Drained()) break;
-    ASSERT_EQ(a.Run(1), 1);
-    ASSERT_EQ(b.Run(1), 1);
-  }
-}
-
-TEST(FingerprintTest, ConvergingInterleavingsCollide) {
-  // Dedup only ever fires when two different schedules hash to the same
-  // fingerprint, and verify_on_hit re-explores every hit subtree and
-  // asserts (SWEEP_CHECK) the recomputed summary matches the cached one.
-  // A run with hits > 0 therefore certifies both that interleaving
-  // diamonds really collide and that colliding states really are
-  // equivalent.
-  ExplorerConfig config{PaperExampleScenario(Algorithm::kSweep),
-                        ConsistencyLevel::kComplete,
-                        /*sleep_sets=*/false,
-                        /*max_schedules=*/200'000,
-                        /*max_steps_per_run=*/10'000,
-                        /*stop_at_first_violation=*/false,
-                        /*minimize=*/true};
-  config.dedup_states = true;
-  config.verify_on_hit = true;
-  ExploreResult result = ExploreExhaustive(config);
-  EXPECT_TRUE(result.exhausted);
-  EXPECT_EQ(result.violations, 0);
-  EXPECT_GT(result.dedup_hits, 0);
 }
 
 // --- Engine invariance ----------------------------------------------------
