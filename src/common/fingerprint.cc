@@ -6,31 +6,10 @@
 
 namespace sweepmv {
 
-namespace {
-
-uint64_t SplitMixLane(uint64_t x, uint64_t salt) {
-  x += salt;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-void StateHasher::Mix(uint64_t value) {
-  lo_ = SplitMixLane(lo_ ^ value, 0x9e3779b97f4a7c15ull);
-  hi_ = SplitMixLane(hi_ + value, 0xd1b54a32d192ed03ull);
-}
-
-void StateHasher::U64(const char* tag, uint64_t value) {
-  for (const char* c = tag; *c != '\0'; ++c) {
-    Mix(static_cast<uint64_t>(static_cast<unsigned char>(*c)) | 0x100u);
-  }
-  Mix(value);
-  if (keep_text_) {
-    text_ += tag;
-    text_ += StrFormat("=%llu\n", static_cast<unsigned long long>(value));
-  }
+void StateHasher::Note(const char* tag, uint64_t value) {
+  if (!keep_text_) return;
+  text_ += tag;
+  text_ += StrFormat("=%llu\n", static_cast<unsigned long long>(value));
 }
 
 void StateHasher::Bytes(const char* tag, const void* data, size_t size) {

@@ -449,7 +449,10 @@ class StateDecoder : public StateVisitor<StateDecoder<R>> {
 // Canonical mode (`exact` false) is the explorer's dedup key: it leaves
 // out History members, and adapters drop schedule history (the pending
 // events' sequence numbers). Exact mode keeps everything; with a
-// text-keeping hasher it is the round-trip oracle's debug dump.
+// text-keeping hasher it is the round-trip oracle's debug dump. The
+// digest sees no tags, so every variable-shape value writes its shape
+// first: a container its length, an optional or a unique_ptr a presence
+// flag, a relation its distinct size (see common/fingerprint.h).
 class StateHashVisitor : public StateVisitor<StateHashVisitor> {
  public:
   StateHashVisitor(StateHasher& h, bool exact) : h_(h), exact_(exact) {}
@@ -483,6 +486,7 @@ class StateHashVisitor : public StateVisitor<StateHashVisitor> {
     } else if constexpr (HasStateList<T>) {
       VisitList(x, *this);
     } else if constexpr (state_internal::IsUniquePtr<T>::value) {
+      h_.Bool(name, x != nullptr);
       if (x != nullptr) Absorb(name, *x);
     } else if constexpr (state_internal::IsOptional<T>::value) {
       h_.Bool(name, x.has_value());

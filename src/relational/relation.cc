@@ -4,7 +4,6 @@
 #include <ostream>
 
 #include "common/check.h"
-#include "common/fingerprint.h"
 #include "common/str.h"
 
 namespace sweepmv {
@@ -162,11 +161,28 @@ std::ostream& operator<<(std::ostream& os, const Relation& r) {
   return os << r.ToDisplayString();
 }
 
+Fp128 RelationDigest(const Relation& rel) {
+  Fp128 sum;
+  // sweeplint:allow unordered-iteration commutative reduction: lane sums
+  // mod 2^64 are the same in every visit order.
+  for (const auto& [t, c] : rel.entries()) {
+    const uint64_t hash = static_cast<uint64_t>(t.Hash());
+    const uint64_t count = static_cast<uint64_t>(c);
+    sum.lo += count * SplitMixLane(hash, 0xa0761d6478bd642full);
+    sum.hi += count * SplitMixLane(hash, 0xe7037ed1a0b428dbull);
+  }
+  return sum;
+}
+
 void AbsorbRelation(StateHasher& h, const char* tag, const Relation& rel) {
   h.U64(tag, rel.DistinctSize());
+  const Fp128 sum = RelationDigest(rel);
+  h.Mix(sum.lo);
+  h.Mix(sum.hi);
+  if (!h.keeps_text()) return;
   for (const auto* entry : rel.SortedEntries()) {
-    h.U64("t.hash", static_cast<uint64_t>(entry->first.Hash()));
-    h.I64("t.count", entry->second);
+    h.Note("t.hash", static_cast<uint64_t>(entry->first.Hash()));
+    h.Note("t.count", static_cast<uint64_t>(entry->second));
   }
 }
 

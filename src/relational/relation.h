@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fingerprint.h"
 #include "relational/schema.h"
 #include "relational/tuple.h"
 
@@ -132,10 +133,19 @@ class Relation {
 
 std::ostream& operator<<(std::ostream& os, const Relation& r);
 
-class StateHasher;
+// The additive multiset digest of `rel`: per lane, the sum over its
+// entries of count × H_lane(tuple hash), mod 2^64 (unsigned wraparound is
+// part of the definition), where H_lane is the splitmix finalizer under a
+// per-lane salt. Order-free by construction, so one pass over the count
+// map computes it, and additive: the digest of a ⊎ b is the lane-wise sum
+// of the digests of a and b, and the empty relation's is {0, 0}. An
+// incremental checker can keep a view's digest in O(|Δ|) per delta.
+Fp128 RelationDigest(const Relation& rel);
 
-// Absorbs `rel` into a state fingerprint in sorted-tuple order (see
-// common/fingerprint.h) — the canonical form every interleaving agrees on.
+// Absorbs `rel` into a state fingerprint (see common/fingerprint.h): its
+// distinct size, then its RelationDigest lanes, which every interleaving
+// reaching the same relation agrees on. The text dump lists the entries
+// in sorted-tuple order instead.
 void AbsorbRelation(StateHasher& h, const char* tag, const Relation& rel);
 
 // Fingerprint leaf for the state lists (common/state.h).

@@ -96,6 +96,7 @@ void IndexedStores::Capture(UndoLog& undo,
 
 bool IndexedStores::Hash(StateHasher& h, const char* name,
                          const std::vector<IndexedRelation>& stores, bool) {
+  h.U64(name, stores.size());
   for (const IndexedRelation& store : stores) {
     HashLeaf(h, name, store.relation());
   }
