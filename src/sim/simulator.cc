@@ -143,31 +143,38 @@ bool Simulator::PendingEvents::Hash(StateHasher& h, const char* name,
     return hashable;
   }
   // Canonical mode: absolute sequence numbers are interleaving history,
-  // not state — group per FIFO channel (ordered map => deterministic
-  // channel order) and identify events by within-channel ordinal plus
-  // content digest. `when` stays in: arrival times feed the controlled
-  // clock via now = max(now, when), so they are behavior-relevant.
-  std::map<ChannelKey, std::vector<const Event*>> channels;
-  for (const Event& ev : pending) {
-    channels[KeyOf(ev.label)].push_back(&ev);
+  // not state — group per FIFO channel (one sort in channel-key order)
+  // and identify events by within-channel ordinal plus content digest.
+  // `when` stays in: arrival times feed the controlled clock via
+  // now = max(now, when), so they are behavior-relevant.
+  struct Keyed {
+    ChannelKey key;
+    const Event* ev;
+  };
+  std::vector<Keyed> events;
+  events.reserve(pending.size());
+  for (const Event& ev : pending) events.push_back({KeyOf(ev.label), &ev});
+  std::sort(events.begin(), events.end(), [](const Keyed& a, const Keyed& b) {
+    if (a.key != b.key) return a.key < b.key;
+    if (a.ev->label.kind == EventKind::kDelivery) return a.ev->seq < b.ev->seq;
+    return std::make_pair(a.ev->when, a.ev->seq) <
+           std::make_pair(b.ev->when, b.ev->seq);
+  });
+  uint64_t channels = 0;
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (i == 0 || events[i].key != events[i - 1].key) ++channels;
   }
-  h.U64(name, channels.size());
-  for (auto& [key, events] : channels) {
-    std::sort(events.begin(), events.end(),
-              [](const Event* a, const Event* b) {
-                if (a->label.kind == EventKind::kDelivery) {
-                  return a->seq < b->seq;
-                }
-                return std::make_pair(a->when, a->seq) <
-                       std::make_pair(b->when, b->seq);
-              });
+  h.U64(name, channels);
+  for (size_t begin = 0, end = 0; begin < events.size(); begin = end) {
+    const ChannelKey& key = events[begin].key;
+    while (end < events.size() && events[end].key == key) ++end;
     h.I64("chan.kind", std::get<0>(key));
     h.I64("chan.from", std::get<1>(key));
     h.I64("chan.to", std::get<2>(key));
-    h.U64("chan.events", events.size());
-    uint64_t ordinal = 0;
-    for (const Event* ev : events) {
-      h.U64("ev.ordinal", ordinal++);
+    h.U64("chan.events", end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      const Event* ev = events[i].ev;
+      h.U64("ev.ordinal", i - begin);
       h.I64("ev.when", ev->when);
       h.Bytes("ev.what", ev->label.what, std::strlen(ev->label.what));
       h.U64("ev.digest", ev->digest);
