@@ -1,8 +1,12 @@
 #include "consistency/checker.h"
 
 #include <map>
+#include <optional>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "common/check.h"
 #include "common/str.h"
 #include "consistency/replay.h"
 
@@ -16,14 +20,18 @@ namespace {
 struct WalkResult {
   bool strong = false;
   bool complete = false;
+  // An install named an update no source logged. Raised only once the
+  // final view is known to match: a wrong final view is reported first.
+  bool unknown_update = false;
   std::string detail;
 };
 
-WalkResult WalkInstalls(const ViewDef& view,
-                        const std::vector<const StateLog*>& source_logs,
-                        const Warehouse& warehouse) {
+// Walks the installs on `replay`, which starts at the initial states.
+// `*current` holds the view evaluated at replay.versions() whenever the
+// walk evaluated it there, so the final check need not evaluate it again.
+WalkResult WalkInstalls(const ViewDef& view, const Warehouse& warehouse,
+                        Replayer& replay, std::optional<Relation>* current) {
   WalkResult result;
-  Replayer replay(&view, source_logs);
 
   const auto& installs = warehouse.install_log();
   const auto& arrivals = warehouse.arrival_log();
@@ -75,8 +83,12 @@ WalkResult WalkInstalls(const ViewDef& view,
                       static_cast<long long>(id));
         return result;
       }
-      auto [rel, pos] = replay.Locate(id);
-      batch_positions[rel].insert(pos);
+      const std::pair<int, size_t>* at = replay.Find(id);
+      if (at == nullptr) {
+        result.unknown_update = true;
+        return result;
+      }
+      batch_positions[at->first].insert(at->second);
     }
     for (const auto& [rel, positions] : batch_positions) {
       size_t expected = versions[static_cast<size_t>(rel)];
@@ -103,7 +115,7 @@ WalkResult WalkInstalls(const ViewDef& view,
     }
 
     replay.AdvanceTo(versions);
-    Relation expected = replay.CurrentView();
+    const Relation& expected = current->emplace(replay.CurrentView());
     if (install.view_after != expected) {
       result.detail = StrFormat(
           "install %zu view does not match the replayed view (%zu vs %zu "
@@ -138,15 +150,23 @@ ConsistencyReport CheckConsistency(
   report.installs = warehouse.install_log().size();
   report.updates = warehouse.arrival_log().size();
 
-  // Final-state correctness first: replay everything.
-  Replayer final_replay(&view, source_logs);
+  // One replay serves both checks. Version vectors only grow, so the
+  // install walk goes first and the final state (every update applied)
+  // is reached from wherever it stopped; when the last install already
+  // incorporated every update, its replayed view is the final one.
+  Replayer replay(&view, source_logs);
+  std::optional<Relation> current;
+  WalkResult walk = WalkInstalls(view, warehouse, replay, &current);
   std::vector<size_t> final_versions;
   for (int rel = 0; rel < view.num_relations(); ++rel) {
-    final_versions.push_back(final_replay.TotalUpdates(rel));
+    final_versions.push_back(replay.TotalUpdates(rel));
   }
-  final_replay.AdvanceTo(final_versions);
-  Relation expected_final = final_replay.CurrentView();
-  report.final_state_correct = warehouse.view() == expected_final;
+  if (replay.versions() != final_versions) {
+    replay.AdvanceTo(final_versions);
+    current.reset();
+  }
+  if (!current.has_value()) current.emplace(replay.CurrentView());
+  report.final_state_correct = warehouse.view() == *current;
 
   if (!report.final_state_correct) {
     report.level = ConsistencyLevel::kInconsistent;
@@ -154,7 +174,7 @@ ConsistencyReport CheckConsistency(
     return report;
   }
 
-  WalkResult walk = WalkInstalls(view, source_logs, warehouse);
+  SWEEP_CHECK_MSG(!walk.unknown_update, "unknown update id");
   if (walk.complete) {
     report.level = ConsistencyLevel::kComplete;
   } else if (walk.strong) {

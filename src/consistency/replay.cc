@@ -30,9 +30,14 @@ size_t Replayer::TotalUpdates(int rel) const {
 }
 
 std::pair<int, size_t> Replayer::Locate(int64_t update_id) const {
+  const std::pair<int, size_t>* at = Find(update_id);
+  SWEEP_CHECK_MSG(at != nullptr, "unknown update id");
+  return *at;
+}
+
+const std::pair<int, size_t>* Replayer::Find(int64_t update_id) const {
   auto it = index_.find(update_id);
-  SWEEP_CHECK_MSG(it != index_.end(), "unknown update id");
-  return it->second;
+  return it == index_.end() ? nullptr : &it->second;
 }
 
 const Relation& Replayer::DeltaOf(int64_t update_id) const {

@@ -31,6 +31,8 @@ class Replayer {
   // Looks up an update id: returns (relation, position in that relation's
   // source order). Aborts if the id is unknown.
   std::pair<int, size_t> Locate(int64_t update_id) const;
+  // Like Locate, but nullptr if the id is unknown.
+  const std::pair<int, size_t>* Find(int64_t update_id) const;
 
   const Relation& DeltaOf(int64_t update_id) const;
 
