@@ -348,12 +348,17 @@ void Warehouse::ArmQueryTimer(int64_t query_id) {
   const int64_t gen = timer_gen_;
   // Content digest so the explorer's canonical fingerprint can identify
   // the pending timer: which query, which incarnation, which attempt.
-  StateHasher timer_hash;
-  timer_hash.I64("timer.query", query_id);
-  timer_hash.I64("timer.gen", gen);
-  timer_hash.I64("timer.attempt", armed->second.attempts);
-  const Fp128 t = timer_hash.Digest();
-  const uint64_t timer_digest = (t.lo ^ t.hi) == 0 ? 1 : (t.lo ^ t.hi);
+  // Only worth computing in controlled mode (time-ordered runs never hash
+  // state).
+  uint64_t timer_digest = 0;
+  if (network_->simulator()->controlled()) {
+    StateHasher timer_hash;
+    timer_hash.I64("timer.query", query_id);
+    timer_hash.I64("timer.gen", gen);
+    timer_hash.I64("timer.attempt", armed->second.attempts);
+    const Fp128 t = timer_hash.Digest();
+    timer_digest = (t.lo ^ t.hi) == 0 ? 1 : (t.lo ^ t.hi);
+  }
   // lint:allow direct-schedule local timer, not a protocol message: fires
   // at this site only, sends nothing itself, so it needs no EventLabel
   // channel and cannot perturb per-link FIFO order.
