@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "consistency/checker.h"
 #include "harness/scenario.h"
 #include "relational/partial_delta.h"
 #include "shard/sharded_scenario.h"
@@ -154,6 +155,59 @@ TEST(ContractDeathTest, RestoringAnotherRunsCheckpointAborts) {
   EXPECT_DEATH(fresh.warehouse().RestoreFromCheckpoint(bytes),
                "checkpoint records 2 entries of the log arrival_log_, but "
                "the live log holds 0");
+}
+
+// A warehouse that installs a view delta under an update id no source
+// logged.
+class UnloggedInstallWarehouse : public Warehouse {
+ public:
+  UnloggedInstallWarehouse(int site_id, ViewDef view_def, Network* network,
+                           std::vector<int> source_sites)
+      : Warehouse(site_id, std::move(view_def), network,
+                  std::move(source_sites), Options{}) {}
+  bool Busy() const override { return false; }
+  std::string name() const override { return "UnloggedInstall"; }
+  void InstallUnlogged(Relation delta) {
+    InstallViewDelta(std::move(delta), {999});
+  }
+
+ protected:
+  void HandleUpdateArrival() override {}
+};
+
+// The checker reports a wrong final view before it looks at the installs;
+// only behind a right final view does an install of an update no source
+// logged abort.
+ConsistencyReport CheckUnloggedInstall(bool right_final_view) {
+  ViewDef view = PaperView();
+  std::vector<Relation> bases = PaperBases(view);
+  Simulator sim;
+  Network net(&sim, LatencyModel::Fixed(100), 1);
+  UpdateIdGenerator ids;
+  DataSource s0(1, 0, bases[0], &view, &net, 0, &ids);
+  DataSource s1(2, 1, bases[1], &view, &net, 0, &ids);
+  DataSource s2(3, 2, bases[2], &view, &net, 0, &ids);
+  net.RegisterSite(1, &s0);
+  net.RegisterSite(2, &s1);
+  net.RegisterSite(3, &s2);
+  UnloggedInstallWarehouse wh(0, view, &net, {1, 2, 3});
+  net.RegisterSite(0, &wh);
+  std::vector<const Relation*> rels{&bases[0], &bases[1], &bases[2]};
+  wh.InitializeView(view.EvaluateFull(rels));
+  Relation delta(view.view_schema());
+  if (!right_final_view) delta.Add(IntTuple({777, 777}), 1);
+  wh.InstallUnlogged(std::move(delta));
+  return CheckConsistency(view, {&s0.log(), &s1.log(), &s2.log()}, wh);
+}
+
+TEST(ContractDeathTest, UnloggedInstallAbortsOnlyBehindARightFinalView) {
+  UseThreadsafeDeathTests();
+  const ConsistencyReport wrong = CheckUnloggedInstall(false);
+  EXPECT_EQ(wrong.level, ConsistencyLevel::kInconsistent);
+  EXPECT_FALSE(wrong.final_state_correct);
+  EXPECT_EQ(wrong.detail,
+            "final view does not match the replayed final view");
+  EXPECT_DEATH(CheckUnloggedInstall(true), "unknown update id");
 }
 
 TEST(ContractDeathTest, SchedulingInThePastAborts) {
