@@ -123,7 +123,9 @@ TEST(ExplorerTest, FindsAndMinimizesEcaAnomalyCounterexample) {
   EXPECT_FALSE(cx.trace.steps.empty());
   // Minimal means minimal: no trailing default picks survive (the empty
   // vector — "the default schedule already races" — is legal).
-  if (!cx.choices.empty()) EXPECT_NE(cx.choices.back(), 0u);
+  if (!cx.choices.empty()) {
+    EXPECT_NE(cx.choices.back(), 0u);
+  }
   // The minimized vector reproduces the violation on its own.
   ControlledOutcome replay = RunWithChoices(config.scenario, cx.choices,
                                             /*max_steps=*/10'000);
