@@ -8,11 +8,6 @@ namespace sweepmv {
 
 namespace {
 
-// Request-message tags (the three query kinds a PendingQuery can hold).
-constexpr uint8_t kTagQueryRequest = 0;
-constexpr uint8_t kTagEcaQueryRequest = 1;
-constexpr uint8_t kTagSnapshotRequest = 2;
-
 // Encoded size of one cell: its type tag, then an 8-byte payload or a
 // length-prefixed text.
 size_t CellSize(const Value& v) {
@@ -78,54 +73,6 @@ void CheckpointWriter::WriteRelation(const Relation& r) {
     WriteTuple(entry->first);
     WriteI64(entry->second);
   }
-}
-
-void CheckpointWriter::WritePartialDelta(const PartialDelta& pd) {
-  WriteI32(pd.lo);
-  WriteI32(pd.hi);
-  WriteRelation(pd.rel);
-}
-
-void CheckpointWriter::WriteUpdate(const Update& u) {
-  WriteI64(u.id);
-  WriteI32(u.relation);
-  WriteRelation(u.delta);
-  WriteI64(u.applied_at);
-}
-
-void CheckpointWriter::WriteRequest(const Message& msg) {
-  if (const auto* query = std::get_if<QueryRequest>(&msg)) {
-    WriteU8(kTagQueryRequest);
-    WriteI64(query->query_id);
-    WriteI64(query->epoch);
-    WriteI32(query->target_rel);
-    WriteBool(query->extend_left);
-    WritePartialDelta(query->partial);
-    return;
-  }
-  if (const auto* eca = std::get_if<EcaQueryRequest>(&msg)) {
-    WriteU8(kTagEcaQueryRequest);
-    WriteI64(eca->query_id);
-    WriteI64(eca->epoch);
-    WriteI64(static_cast<int64_t>(eca->terms.size()));
-    for (const EcaTerm& term : eca->terms) {
-      WriteI32(term.sign);
-      WriteI64(static_cast<int64_t>(term.fixed.size()));
-      for (const auto& slot : term.fixed) {
-        WriteBool(slot.has_value());
-        if (slot.has_value()) WriteRelation(*slot);
-      }
-    }
-    return;
-  }
-  if (const auto* snap = std::get_if<SnapshotRequest>(&msg)) {
-    WriteU8(kTagSnapshotRequest);
-    WriteI64(snap->query_id);
-    WriteI64(snap->epoch);
-    return;
-  }
-  SWEEP_CHECK_MSG(false,
-                  "only query requests are checkpointed (pending queries)");
 }
 
 uint8_t CheckpointReader::ReadU8() {
@@ -215,66 +162,6 @@ Relation CheckpointReader::ReadRelation() {
   return r;
 }
 
-PartialDelta CheckpointReader::ReadPartialDelta() {
-  PartialDelta pd;
-  pd.lo = ReadI32();
-  pd.hi = ReadI32();
-  pd.rel = ReadRelation();
-  return pd;
-}
-
-Update CheckpointReader::ReadUpdate() {
-  Update u;
-  u.id = ReadI64();
-  u.relation = ReadI32();
-  u.delta = ReadRelation();
-  u.applied_at = ReadI64();
-  return u;
-}
-
-Message CheckpointReader::ReadRequest() {
-  const uint8_t tag = ReadU8();
-  if (tag == kTagQueryRequest) {
-    QueryRequest query;
-    query.query_id = ReadI64();
-    query.epoch = ReadI64();
-    query.target_rel = ReadI32();
-    query.extend_left = ReadBool();
-    query.partial = ReadPartialDelta();
-    return query;
-  }
-  if (tag == kTagEcaQueryRequest) {
-    EcaQueryRequest eca;
-    eca.query_id = ReadI64();
-    eca.epoch = ReadI64();
-    const int64_t terms = ReadI64();
-    SWEEP_CHECK(terms >= 0);
-    for (int64_t i = 0; i < terms; ++i) {
-      EcaTerm term;
-      term.sign = ReadI32();
-      const int64_t slots = ReadI64();
-      SWEEP_CHECK(slots >= 0);
-      for (int64_t s = 0; s < slots; ++s) {
-        if (ReadBool()) {
-          term.fixed.push_back(ReadRelation());
-        } else {
-          term.fixed.push_back(std::nullopt);
-        }
-      }
-      eca.terms.push_back(std::move(term));
-    }
-    return eca;
-  }
-  if (tag == kTagSnapshotRequest) {
-    SnapshotRequest snap;
-    snap.query_id = ReadI64();
-    snap.epoch = ReadI64();
-    return snap;
-  }
-  SWEEP_CHECK_MSG(false, "unknown request tag in checkpoint");
-  return SnapshotRequest{};
-}
-
 void DurableView::Cut(const Relation& view, const Relation* delta) {
   if (delta != nullptr && !bytes_.empty()) {
     if (delta->Empty()) return;
@@ -298,9 +185,9 @@ Relation DurableView::Rebuild() const {
   return view;
 }
 
-void EncodeLeaf(CheckpointWriter& w, const DurableView& x) {
-  w.WriteBool(!x.empty());
-  if (!x.empty()) w.WriteRelation(x.Rebuild());
+void HashLeaf(StateHasher& h, const char* tag, const DurableView& x) {
+  h.Bool(tag, !x.empty());
+  if (!x.empty()) AbsorbRelation(h, tag, x.Rebuild());
 }
 
 }  // namespace sweepmv

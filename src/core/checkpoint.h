@@ -10,8 +10,10 @@
 // it). It is total over the lists by construction and *deterministic*:
 // unordered containers are serialized in sorted order, so identical
 // states produce identical bytes and checkpoint size is a stable bench
-// metric. This file holds the hand-written leaf formats; member lists
-// never appear here.
+// metric. This file holds the hand-written leaf formats: primitives,
+// values, tuples, schemas and relations. Everything built from them (an
+// update, a partial delta, a pending request) is written from its own
+// state list, and member lists never appear here.
 
 #ifndef SWEEPMV_CORE_CHECKPOINT_H_
 #define SWEEPMV_CORE_CHECKPOINT_H_
@@ -23,10 +25,7 @@
 #include <utility>
 #include <vector>
 
-#include "relational/partial_delta.h"
 #include "relational/relation.h"
-#include "sim/message.h"
-#include "source/update.h"
 
 namespace sweepmv {
 
@@ -47,11 +46,6 @@ class CheckpointWriter {
   void WriteTuple(const Tuple& t);
   void WriteSchema(const Schema& s);
   void WriteRelation(const Relation& r);
-  void WritePartialDelta(const PartialDelta& pd);
-  void WriteUpdate(const Update& u);
-  // Only the request messages a pending query can hold (QueryRequest,
-  // EcaQueryRequest, SnapshotRequest); anything else is a CHECK failure.
-  void WriteRequest(const Message& msg);
 
   // Hands the accumulated bytes over; the writer is spent afterwards.
   std::string Take() { return std::move(bytes_); }
@@ -103,9 +97,6 @@ class CheckpointReader {
   Tuple ReadTuple();
   Schema ReadSchema();
   Relation ReadRelation();
-  PartialDelta ReadPartialDelta();
-  Update ReadUpdate();
-  Message ReadRequest();
 
   // True once every byte has been consumed; restore paths CHECK this so a
   // serializer/deserializer mismatch fails loudly instead of silently
@@ -144,6 +135,11 @@ class DurableView {
   size_t base_size_ = 0;
 };
 
+// Fingerprint leaf for the state lists (common/state.h): a presence flag,
+// then the view the durable copy holds, by content, whatever split of
+// base and deltas holds it.
+void HashLeaf(StateHasher& h, const char* tag, const DurableView& x);
+
 // Leaf codecs the derived checkpoint codec dispatches to.
 inline void EncodeLeaf(CheckpointWriter& w, const Relation& x) {
   w.WriteRelation(x);
@@ -151,32 +147,10 @@ inline void EncodeLeaf(CheckpointWriter& w, const Relation& x) {
 inline void EncodeLeaf(CheckpointWriter& w, const Tuple& x) {
   w.WriteTuple(x);
 }
-inline void EncodeLeaf(CheckpointWriter& w, const PartialDelta& x) {
-  w.WritePartialDelta(x);
-}
-inline void EncodeLeaf(CheckpointWriter& w, const Update& x) {
-  w.WriteUpdate(x);
-}
-inline void EncodeLeaf(CheckpointWriter& w, const Message& x) {
-  w.WriteRequest(x);
-}
-// A DurableView is never checkpointed (it is the durable store); this is
-// its form in the warehouse's whole-state encoding: the view it holds, by
-// content, whatever split of base and deltas holds it.
-void EncodeLeaf(CheckpointWriter& w, const DurableView& x);
 inline void DecodeLeaf(CheckpointReader& r, Relation& x) {
   x = r.ReadRelation();
 }
 inline void DecodeLeaf(CheckpointReader& r, Tuple& x) { x = r.ReadTuple(); }
-inline void DecodeLeaf(CheckpointReader& r, PartialDelta& x) {
-  x = r.ReadPartialDelta();
-}
-inline void DecodeLeaf(CheckpointReader& r, Update& x) {
-  x = r.ReadUpdate();
-}
-inline void DecodeLeaf(CheckpointReader& r, Message& x) {
-  x = r.ReadRequest();
-}
 
 }  // namespace sweepmv
 

@@ -332,8 +332,8 @@ class Warehouse : public Site {
   // The visitors that cross into an algorithm's list, by constness.
   using AlgVisitor = AnyStateVisitor<StateRestorer, UndoCapture,
                                      StateDecoder<CheckpointReader>>;
-  using ConstAlgVisitor =
-      AnyStateVisitor<StateSaver, StateEncoder<CheckpointWriter>>;
+  using ConstAlgVisitor = AnyStateVisitor<StateSaver, StateHashVisitor,
+                                          StateEncoder<CheckpointWriter>>;
 
   // The algorithm half of the state list. Every maintenance algorithm
   // overrides both with `v.Visit(*this, "ClassName")`, which visits its
@@ -406,7 +406,7 @@ class Warehouse : public Site {
   // expected relation has answered, and `relations_seen` detects
   // re-delivered parts when a re-issue races the original answers.
   struct PendingQuery {
-    Message request;
+    Request request;
     int target_site = -1;
     int attempts = 1;
     int expected_answers = 1;
@@ -442,7 +442,7 @@ class Warehouse : public Site {
 
   // Stores `request` as the query's pending copy (the only one kept; the
   // sender transmits its own).
-  void RegisterQuery(int64_t query_id, int target_site, Message request,
+  void RegisterQuery(int64_t query_id, int target_site, Request request,
                      int expected_answers = 1);
   // Removes the entry; false if the id is not outstanding (stale answer).
   bool ResolveQuery(int64_t query_id);
@@ -474,8 +474,6 @@ class Warehouse : public Site {
   // view from the durable view, re-issue restored in-flight queries under
   // the new epoch, replay the WAL.
   void Recover();
-  // Overwrites the epoch stamp of a stored query request.
-  static void StampEpoch(Message* request, int64_t epoch);
 
   int site_id_;
   ViewDef view_def_;
@@ -547,11 +545,6 @@ class Warehouse : public Site {
   InstallObserver observer_;
   UndoLog* undo_ = nullptr;
 };
-
-// Fingerprint leaf for the state lists (common/state.h): the checkpoint
-// encoding extended by the Durable members — canonical bytes already
-// (sorted unordered containers), hashed in bulk.
-void HashLeaf(StateHasher& h, const char* tag, const Warehouse& w);
 
 }  // namespace sweepmv
 

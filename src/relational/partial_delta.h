@@ -34,6 +34,13 @@ struct PartialDelta {
   std::string ToDisplayString() const;
 
   bool operator==(const PartialDelta&) const = default;
+
+  template <class Self, class V>
+  static void VisitState(Self& self, V& v) {
+    v.Protocol("lo", self.lo);
+    v.Protocol("hi", self.hi);
+    v.Protocol("rel", self.rel);
+  }
 };
 
 // Joins `left_rel` (base relation or delta of relation pd.lo - 1) to the

@@ -148,9 +148,13 @@ Fp128 RelationDigest(const Relation& rel);
 // in sorted-tuple order instead.
 void AbsorbRelation(StateHasher& h, const char* tag, const Relation& rel);
 
-// Fingerprint leaf for the state lists (common/state.h).
+// Fingerprint leaves for the state lists (common/state.h). A tuple
+// absorbs its hash, the same one RelationDigest sums.
 inline void HashLeaf(StateHasher& h, const char* tag, const Relation& rel) {
   AbsorbRelation(h, tag, rel);
+}
+inline void HashLeaf(StateHasher& h, const char* tag, const Tuple& t) {
+  h.U64(tag, static_cast<uint64_t>(t.Hash()));
 }
 
 }  // namespace sweepmv

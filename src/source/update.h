@@ -59,6 +59,14 @@ struct Update {
   std::string ToDisplayString() const;
 
   bool operator==(const Update&) const = default;
+
+  template <class Self, class V>
+  static void VisitState(Self& self, V& v) {
+    v.Protocol("id", self.id);
+    v.Protocol("relation", self.relation);
+    v.Protocol("delta", self.delta);
+    v.Protocol("applied_at", self.applied_at);
+  }
 };
 
 // Builds the signed-count delta of a transaction's operations: each insert

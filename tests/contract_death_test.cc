@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/state.h"
 #include "consistency/checker.h"
+#include "core/checkpoint.h"
 #include "harness/scenario.h"
 #include "relational/partial_delta.h"
 #include "shard/sharded_scenario.h"
@@ -155,6 +157,19 @@ TEST(ContractDeathTest, RestoringAnotherRunsCheckpointAborts) {
   EXPECT_DEATH(fresh.warehouse().RestoreFromCheckpoint(bytes),
                "checkpoint records 2 entries of the log arrival_log_, but "
                "the live log holds 0");
+}
+
+// A pending request is checkpointed as its alternative's index, then the
+// alternative. Past the three request kinds there is no request to decode
+// into: decoding aborts, naming the checkpoint, instead of guessing one.
+TEST(ContractDeathTest, DecodingAnUnknownRequestKindAborts) {
+  UseThreadsafeDeathTests();
+  const std::string bytes(1, '\x03');
+  CheckpointReader reader(bytes);
+  StateDecoder<CheckpointReader> decoder(reader);
+  Request request;
+  EXPECT_DEATH(decoder.Decode(request),
+               "checkpoint records alternative 3 of a variant of 3");
 }
 
 // A warehouse that installs a view delta under an update id no source

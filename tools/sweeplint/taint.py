@@ -88,7 +88,7 @@ _POINTER_CAST_TARGETS = ("uintptr_t", "intptr_t")
 _CHECKPOINT_WRITERS = (
     "WriteU8", "WriteBool", "WriteI32", "WriteI64", "WriteU64", "WriteF64",
     "WriteString", "WriteValue", "WriteTuple", "WriteSchema",
-    "WriteRelation", "WritePartialDelta", "WriteUpdate", "WriteRequest",
+    "WriteRelation",
 )
 
 SINK_CALLS: Dict[str, str] = {
