@@ -45,8 +45,6 @@ class Rng {
   // hashes it so two system states with diverged RNG streams never alias).
   uint64_t state() const { return state_; }
 
-  bool operator==(const Rng&) const = default;
-
  private:
   uint64_t state_;
 };

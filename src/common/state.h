@@ -54,7 +54,7 @@
 // tag's rule for its mechanism:
 //
 //   Save(const T&) -> S, Restore(T&, const S&)   snapshot as an S
-//   Capture(UndoLog&, T&, EffectAtom)            custom undo entry
+//   Capture(UndoLog&, T&)                        custom undo entry
 //   Hash(StateHasher&, const char* name, const T&, bool exact) -> bool
 //                                                false = not dedupable
 //
@@ -95,9 +95,7 @@ enum class StateTag { kProtocol, kLog, kDurable, kHistory, kFixed };
 // The adapter of a list entry that names none.
 struct NoAdapter {};
 
-// Forwards the list's per-tag calls to the visitor's Entry<tag>, and
-// visits a list under a class name (only UndoCapture uses the name: it
-// labels effect atoms).
+// Forwards the list's per-tag calls to the visitor's Entry<tag>.
 template <class Derived>
 class StateVisitor {
  public:
@@ -120,11 +118,6 @@ class StateVisitor {
   template <class T, class A = NoAdapter>
   void Fixed(const char* name, T& x, A a = {}) {
     derived().template Entry<StateTag::kFixed>(name, x, a);
-  }
-
-  template <class Self>
-  void VisitAs(Self& self, const char* /*cls*/) {
-    std::remove_const_t<Self>::VisitState(self, derived());
   }
 
  private:
@@ -258,51 +251,35 @@ class StateRestorer : public StateVisitor<StateRestorer> {
 
 class UndoCapture : public StateVisitor<UndoCapture> {
  public:
-  // `cls` and `site` label the effect atoms; `full` eras capture logs by
-  // value instead of by tail.
-  UndoCapture(UndoLog& log, const char* cls, int site, bool full)
-      : log_(log), cls_(cls), site_(site), full_(full) {}
+  // `full` eras capture logs by value instead of by tail.
+  UndoCapture(UndoLog& log, bool full) : log_(log), full_(full) {}
 
   template <StateTag tag, class T, class A>
-  void Entry(const char* name, T& x, A) {
-    const EffectAtom atom{cls_, name, site_};
-    if constexpr (requires { A::Capture(log_, x, atom); }) {
-      A::Capture(log_, x, atom);
+  void Entry(const char*, T& x, A) {
+    if constexpr (requires { A::Capture(log_, x); }) {
+      A::Capture(log_, x);
     } else if constexpr (tag == StateTag::kFixed) {
     } else if constexpr (tag == StateTag::kLog) {
       if (full_) {
-        log_.CaptureValue(&x, atom);
+        log_.CaptureValue(&x);
       } else {
-        log_.CaptureTail(&x, atom);
+        log_.CaptureTail(&x);
       }
     } else {
-      log_.CaptureValue(&x, atom);
+      log_.CaptureValue(&x);
     }
-  }
-
-  // A subclass's list (the warehouse's algorithm half) labels its atoms
-  // with its own class name.
-  template <class Self>
-  void VisitAs(Self& self, const char* cls) {
-    const char* outer = cls_;
-    cls_ = cls;
-    VisitList(self, *this);
-    cls_ = outer;
   }
 
  private:
   UndoLog& log_;
-  const char* cls_;
-  int site_;
   bool full_;
 };
 
 // Records `x`'s list into `log`: the body of every CaptureUndo entry
 // point, after its detached-log test.
 template <class T>
-void CaptureState(UndoLog& log, T& x, const char* cls, int site,
-                  bool full = false) {
-  UndoCapture capture(log, cls, site, full);
+void CaptureState(UndoLog& log, T& x, bool full = false) {
+  UndoCapture capture(log, full);
   VisitList(x, capture);
 }
 
@@ -543,8 +520,8 @@ class AnyStateVisitor {
   AnyStateVisitor(V& v) : v_(&v) {}
 
   template <class Self>
-  void Visit(Self& self, const char* cls) const {
-    std::visit([&](auto* v) { v->VisitAs(self, cls); }, v_);
+  void Visit(Self& self) const {
+    std::visit([&](auto* v) { VisitList(self, *v); }, v_);
   }
 
  private:

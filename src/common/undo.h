@@ -18,7 +18,8 @@
 //
 //   * An *era* is the span between two watermarks (MarkPoint /
 //     RollbackTo / DiscardTo each open a new one). The explorer marks
-//     before every controlled step, so one era = one executed event.
+//     at every branch node, so one era holds the steps from a branch
+//     to the next branch or backtrack.
 //   * Hooks run at the *top* of each mutation entry point, before any
 //     member changes. The first capture of a member per era therefore
 //     stores its watermark value; later captures of the same member in
@@ -39,25 +40,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <algorithm>
 #include <functional>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 namespace sweepmv {
-
-// Identity of one state member for the effect-set soundness oracle:
-// (declaring class, member name, site). `site == -1` means global (one
-// instance, e.g. UpdateIdGenerator::next_). The strings are expected to
-// be string literals; comparisons go through strcmp so distinct literals
-// with equal text compare equal.
-struct EffectAtom {
-  const char* cls = "";
-  const char* member = "";
-  int site = -1;
-};
 
 class UndoLog {
  public:
@@ -87,49 +75,20 @@ class UndoLog {
     OpenEra();
   }
 
-  // Whole-value restore; first touch per era wins. The tagged overload
-  // names the member for the effect oracle: while observing, a probe
-  // compares the pre-step value against the current one at drain time
-  // and reports the atom only if the member actually changed.
-  // Incomparable types degrade to "always changed" (conservative).
+  // Whole-value restore; first touch per era wins.
   template <typename T>
-  void CaptureValue(T* target, EffectAtom atom) {
+  void CaptureValue(T* target) {
     if (!FirstTouch(target, kValue)) return;
-    if (observing_) {
-      if constexpr (requires(const T& a, const T& b) { a == b; }) {
-        probes_.push_back(
-            [target, atom, saved = *target](std::vector<EffectAtom>& out) {
-              if (!(saved == *target)) out.push_back(atom);
-            });
-      } else {
-        probes_.push_back([atom](std::vector<EffectAtom>& out) {
-          out.push_back(atom);
-        });
-      }
-    }
     entries_.push_back([target, saved = *target]() mutable {
       *target = std::move(saved);
     });
   }
 
-  template <typename T>
-  void CaptureValue(T* target) {
-    CaptureValue(target, EffectAtom{"<untagged>", "", -1});
-  }
-
   // Truncate-only restore for append-only containers; first touch per
   // era wins. See the capture discipline above for when this is sound.
-  // The observation probe compares lengths: for an append-only container
-  // "size changed" is exactly "mutated this era".
   template <typename Container>
-  void CaptureTail(Container* target, EffectAtom atom) {
+  void CaptureTail(Container* target) {
     if (!FirstTouch(target, kTail)) return;
-    if (observing_) {
-      probes_.push_back(
-          [target, atom, length = target->size()](std::vector<EffectAtom>& out) {
-            if (target->size() != length) out.push_back(atom);
-          });
-    }
     entries_.push_back([target, length = target->size()]() {
       if (target->size() > length) {
         target->erase(
@@ -139,20 +98,11 @@ class UndoLog {
     });
   }
 
-  template <typename Container>
-  void CaptureTail(Container* target) {
-    CaptureTail(target, EffectAtom{"<untagged>", "", -1});
-  }
-
   // Custom deduplicated restore (e.g. "restore this relation and rebuild
   // its indexes"). `key` identifies the captured object for the
-  // first-touch-per-era rule. The probe supplies change detection for
-  // state that needs hand-rolled comparison (per-link network channels,
-  // indexed relations); it appends one atom per member it finds changed.
-  void Capture(const void* key, std::function<void()> undo,
-               std::function<void(std::vector<EffectAtom>&)> probe) {
+  // first-touch-per-era rule.
+  void Capture(const void* key, std::function<void()> undo) {
     if (!FirstTouch(key, kCustom)) return;
-    if (observing_ && probe) probes_.push_back(std::move(probe));
     entries_.push_back(std::move(undo));
   }
 
@@ -161,46 +111,11 @@ class UndoLog {
   int64_t entries_recorded() const { return recorded_; }
   int64_t rollbacks() const { return rollbacks_; }
 
-  // --- effect observation (soundness oracle support) ---------------------
-  //
-  // While observing, each first-touch capture also registers a *probe*
-  // that, at drain time, decides whether the captured member actually
-  // changed since the era opened. One era = one controlled step, so
-  // DrainObserved() right after a step yields the step's true write set.
-  void SetObserve(bool on) {
-    observing_ = on;
-    if (!on) probes_.clear();
-  }
-  bool observing() const { return observing_; }
-
-  // Runs all registered probes, returns the deduplicated set of atoms
-  // observed changed this era, and clears the probes.
-  std::vector<EffectAtom> DrainObserved() {
-    std::vector<EffectAtom> out;
-    for (auto& probe : probes_) probe(out);
-    probes_.clear();
-    auto less = [](const EffectAtom& a, const EffectAtom& b) {
-      int c = std::strcmp(a.cls, b.cls);
-      if (c != 0) return c < 0;
-      c = std::strcmp(a.member, b.member);
-      if (c != 0) return c < 0;
-      return a.site < b.site;
-    };
-    std::sort(out.begin(), out.end(), less);
-    out.erase(std::unique(out.begin(), out.end(),
-                          [&](const EffectAtom& a, const EffectAtom& b) {
-                            return !less(a, b) && !less(b, a);
-                          }),
-              out.end());
-    return out;
-  }
-
  private:
   enum Kind { kValue = 0, kTail = 1, kCustom = 2 };
 
   void OpenEra() {
     for (auto& seen : seen_) seen.clear();
-    probes_.clear();
   }
 
   bool FirstTouch(const void* addr, Kind kind) {
@@ -210,8 +125,6 @@ class UndoLog {
   }
 
   std::vector<std::function<void()>> entries_;
-  std::vector<std::function<void(std::vector<EffectAtom>&)>> probes_;
-  bool observing_ = false;
   std::unordered_set<const void*> seen_[3];
   int64_t recorded_ = 0;
   int64_t rollbacks_ = 0;

@@ -83,8 +83,6 @@ class CStrobeWarehouse : public Warehouse {
     int j = -1;
     int64_t outstanding_query = -1;
 
-    bool operator==(const Task&) const = default;
-
     template <class Self, class V>
     static void VisitState(Self& self, V& v) {
       v.Protocol("local_id", self.local_id);
@@ -104,8 +102,6 @@ class CStrobeWarehouse : public Warehouse {
     // Concurrent inserts to be offset locally at finalize: (rel, tuple).
     std::vector<std::pair<int, Tuple>> local_removals;
     int64_t tasks_created = 0;
-
-    bool operator==(const ActiveUpdate&) const = default;
 
     template <class Self, class V>
     static void VisitState(Self& self, V& v) {
@@ -133,10 +129,10 @@ class CStrobeWarehouse : public Warehouse {
   void FinalizeActive();
 
   void VisitAlgState(const AlgVisitor& v) override {
-    v.Visit(*this, "CStrobeWarehouse");
+    v.Visit(*this);
   }
   void VisitAlgState(const ConstAlgVisitor& v) const override {
-    v.Visit(*this, "CStrobeWarehouse");
+    v.Visit(*this);
   }
 
   Relation internal_view_;  // full-span, selection applied, set semantics

@@ -82,8 +82,6 @@ class EcaWarehouse : public Warehouse {
     int sign = 1;
     std::map<int, Relation> deltas;
 
-    bool operator==(const OffsetTerm&) const = default;
-
     template <class Self, class V>
     static void VisitState(Self& self, V& v) {
       v.Protocol("sign", self.sign);
@@ -100,8 +98,6 @@ class EcaWarehouse : public Warehouse {
     // used to propagate contamination records onto still-queued updates.
     std::vector<OffsetTerm> sent_terms;
 
-    bool operator==(const ActiveQuery&) const = default;
-
     template <class Self, class V>
     static void VisitState(Self& self, V& v) {
       v.Protocol("query_id", self.query_id);
@@ -116,10 +112,10 @@ class EcaWarehouse : public Warehouse {
   void TryInstall();
 
   void VisitAlgState(const AlgVisitor& v) override {
-    v.Visit(*this, "EcaWarehouse");
+    v.Visit(*this);
   }
   void VisitAlgState(const ConstAlgVisitor& v) const override {
-    v.Visit(*this, "EcaWarehouse");
+    v.Visit(*this);
   }
 
   // Experiment knob, fixed at construction.

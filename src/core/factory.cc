@@ -34,28 +34,6 @@ const char* AlgorithmName(Algorithm algorithm) {
   return "?";
 }
 
-const char* AlgorithmClassName(Algorithm algorithm) {
-  switch (algorithm) {
-    case Algorithm::kSweep:
-      return "SweepWarehouse";
-    case Algorithm::kNestedSweep:
-      return "NestedSweepWarehouse";
-    case Algorithm::kStrobe:
-      return "StrobeWarehouse";
-    case Algorithm::kCStrobe:
-      return "CStrobeWarehouse";
-    case Algorithm::kEca:
-      return "EcaWarehouse";
-    case Algorithm::kRecompute:
-      return "RecomputeWarehouse";
-    case Algorithm::kParallelSweep:
-      return "ParallelSweepWarehouse";
-    case Algorithm::kPipelinedSweep:
-      return "PipelinedSweepWarehouse";
-  }
-  return "?";
-}
-
 const char* ConsistencyLevelName(ConsistencyLevel level) {
   switch (level) {
     case ConsistencyLevel::kInconsistent:

@@ -34,11 +34,6 @@ enum class ConsistencyLevel : int {
 const char* AlgorithmName(Algorithm algorithm);
 const char* ConsistencyLevelName(ConsistencyLevel level);
 
-// The C++ class implementing the algorithm's warehouse, exactly as it
-// appears in the generated effect table (src/verify/effects_table.h) and
-// in the undo log's EffectAtom tags.
-const char* AlgorithmClassName(Algorithm algorithm);
-
 // Every algorithm listed in Table 1 plus the recompute baseline.
 std::vector<Algorithm> AllAlgorithms();
 

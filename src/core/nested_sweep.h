@@ -81,8 +81,6 @@ class NestedSweepWarehouse : public Warehouse {
     int j = -1;
     int64_t outstanding_query = -1;
 
-    bool operator==(const Frame&) const = default;
-
     template <class Self, class V>
     static void VisitState(Self& self, V& v) {
       v.Protocol("left", self.left);
@@ -102,10 +100,10 @@ class NestedSweepWarehouse : public Warehouse {
   void CompleteTopFrame();
 
   void VisitAlgState(const AlgVisitor& v) override {
-    v.Visit(*this, "NestedSweepWarehouse");
+    v.Visit(*this);
   }
   void VisitAlgState(const ConstAlgVisitor& v) const override {
-    v.Visit(*this, "NestedSweepWarehouse");
+    v.Visit(*this);
   }
 
   std::vector<Frame> stack_;

@@ -54,8 +54,6 @@ class ParallelSweepWarehouse : public Warehouse {
     bool done = false;
     int64_t outstanding_query = -1;
 
-    bool operator==(const Side&) const = default;
-
     template <class Self, class V>
     static void VisitState(Self& self, V& v) {
       v.Protocol("extend_left", self.extend_left);
@@ -73,8 +71,6 @@ class ParallelSweepWarehouse : public Warehouse {
     Side left;
     Side right;
 
-    bool operator==(const ActiveSweep&) const = default;
-
     template <class Self, class V>
     static void VisitState(Self& self, V& v) {
       v.Protocol("update_id", self.update_id);
@@ -91,10 +87,10 @@ class ParallelSweepWarehouse : public Warehouse {
   void MaybeFinish();
 
   void VisitAlgState(const AlgVisitor& v) override {
-    v.Visit(*this, "ParallelSweepWarehouse");
+    v.Visit(*this);
   }
   void VisitAlgState(const ConstAlgVisitor& v) const override {
-    v.Visit(*this, "ParallelSweepWarehouse");
+    v.Visit(*this);
   }
 
   std::optional<ActiveSweep> active_;

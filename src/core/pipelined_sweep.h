@@ -83,8 +83,6 @@ class PipelinedSweepWarehouse : public Warehouse {
     int64_t outstanding_query = -1;
     bool complete = false;
 
-    bool operator==(const Sweep&) const = default;
-
     template <class Self, class V>
     static void VisitState(Self& self, V& v) {
       v.Protocol("arrival_index", self.arrival_index);
@@ -107,10 +105,10 @@ class PipelinedSweepWarehouse : public Warehouse {
   void TryInstallInOrder();
 
   void VisitAlgState(const AlgVisitor& v) override {
-    v.Visit(*this, "PipelinedSweepWarehouse");
+    v.Visit(*this);
   }
   void VisitAlgState(const ConstAlgVisitor& v) const override {
-    v.Visit(*this, "PipelinedSweepWarehouse");
+    v.Visit(*this);
   }
 
   PipelineOptions options_;

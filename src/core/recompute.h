@@ -49,8 +49,6 @@ class RecomputeWarehouse : public Warehouse {
     std::vector<int64_t> update_ids;
     std::map<int, Relation> snapshots;  // relation index -> snapshot
 
-    bool operator==(const ActiveRecompute&) const = default;
-
     template <class Self, class V>
     static void VisitState(Self& self, V& v) {
       v.Protocol("update_ids", self.update_ids);
@@ -61,10 +59,10 @@ class RecomputeWarehouse : public Warehouse {
   void MaybeStartNext();
 
   void VisitAlgState(const AlgVisitor& v) override {
-    v.Visit(*this, "RecomputeWarehouse");
+    v.Visit(*this);
   }
   void VisitAlgState(const ConstAlgVisitor& v) const override {
-    v.Visit(*this, "RecomputeWarehouse");
+    v.Visit(*this);
   }
 
   std::optional<ActiveRecompute> active_;

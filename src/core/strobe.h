@@ -68,8 +68,6 @@ class StrobeWarehouse : public Warehouse {
     // deleted base tuple).
     std::vector<std::pair<int, Tuple>> pending_deletes;
 
-    bool operator==(const PendingQuery&) const = default;
-
     template <class Self, class V>
     static void VisitState(Self& self, V& v) {
       v.Protocol("update_id", self.update_id);
@@ -90,8 +88,6 @@ class StrobeWarehouse : public Warehouse {
     Relation tuples;    // kInsert: full-span set of view tuples
     int64_t update_id = -1;
 
-    bool operator==(const Action&) const = default;
-
     template <class Self, class V>
     static void VisitState(Self& self, V& v) {
       v.Protocol("kind", self.kind);
@@ -108,10 +104,10 @@ class StrobeWarehouse : public Warehouse {
   void TryInstall();
 
   void VisitAlgState(const AlgVisitor& v) override {
-    v.Visit(*this, "StrobeWarehouse");
+    v.Visit(*this);
   }
   void VisitAlgState(const ConstAlgVisitor& v) const override {
-    v.Visit(*this, "StrobeWarehouse");
+    v.Visit(*this);
   }
 
   // Full-span, selection-applied, set-semantics view (keys preserved).

@@ -80,8 +80,6 @@ class SweepWarehouse : public Warehouse {
     int j = -1;               // relation currently being queried
     int64_t outstanding_query = -1;
 
-    bool operator==(const ActiveSweep&) const = default;
-
     template <class Self, class V>
     static void VisitState(Self& self, V& v) {
       v.Protocol("update_id", self.update_id);
@@ -101,10 +99,10 @@ class SweepWarehouse : public Warehouse {
   void Finish();
 
   void VisitAlgState(const AlgVisitor& v) override {
-    v.Visit(*this, "SweepWarehouse");
+    v.Visit(*this);
   }
   void VisitAlgState(const ConstAlgVisitor& v) const override {
-    v.Visit(*this, "SweepWarehouse");
+    v.Visit(*this);
   }
 
   std::optional<ActiveSweep> active_;

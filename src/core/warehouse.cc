@@ -55,10 +55,7 @@ void Warehouse::InitializeView(Relation initial_view) {
 
 void Warehouse::CaptureUndo(bool full) {
   if (undo_ == nullptr) return;
-  // Effect atoms name the *declaring* class — the same resolution the
-  // static effects pass uses — so the soundness oracle compares like with
-  // like (src/verify/effects.h, tools/sweeplint/effects.py).
-  CaptureState(*undo_, *this, "Warehouse", site_id_, full);
+  CaptureState(*undo_, *this, full);
 }
 
 void Warehouse::VisitAlgState(const AlgVisitor&) {
@@ -427,9 +424,6 @@ void Warehouse::InstallViewDelta(Relation view_delta,
                                  std::vector<int64_t> update_ids) {
   SWEEP_LOG(Debug) << name() << " installing delta "
                    << view_delta.ToDisplayString();
-  // sweeplint:allow effect-bounds observer_ is wiring-time instrumentation
-  // (sharded-view fragment sums, bench taps); controlled explorations
-  // never install one, and the dynamic oracle enforces that.
   if (observer_) observer_(view_delta, update_ids);
   if (delta_since_cut_) delta_since_cut_->Merge(view_delta);
   view_.Merge(std::move(view_delta));
@@ -442,9 +436,6 @@ void Warehouse::InstallAbsoluteView(Relation new_view,
   if (observer_) {
     Relation delta = new_view;
     delta.MergeNegated(view_);
-    // sweeplint:allow effect-bounds observer_ is wiring-time
-    // instrumentation; controlled explorations never install one, and
-    // the dynamic oracle enforces that.
     observer_(delta, update_ids);
   }
   view_ = std::move(new_view);

@@ -57,8 +57,6 @@ struct InstallRecord {
   // correctness red flag the checker also looks at.
   bool negative_counts = false;
 
-  bool operator==(const InstallRecord&) const = default;
-
   template <class Self, class V>
   static void VisitState(Self& self, V& v) {
     v.Protocol("time", self.time);
@@ -336,10 +334,9 @@ class Warehouse : public Site {
                                           StateEncoder<CheckpointWriter>>;
 
   // The algorithm half of the state list. Every maintenance algorithm
-  // overrides both with `v.Visit(*this, "ClassName")`, which visits its
-  // own VisitState (the name labels undo effect atoms); the defaults fail
-  // loudly so a new algorithm cannot silently explore or recover with
-  // half its state.
+  // overrides both with `v.Visit(*this)`, which visits its own
+  // VisitState; the defaults fail loudly so a new algorithm cannot
+  // silently explore or recover with half its state.
   virtual void VisitAlgState(const AlgVisitor& v);
   virtual void VisitAlgState(const ConstAlgVisitor& v) const;
 
@@ -378,8 +375,6 @@ class Warehouse : public Site {
   // True if this warehouse is responsible for maintaining the view
   // against `update` (always true unless Options::shard_of is set).
   bool OwnsUpdate(const Update& update) const {
-    // sweeplint:allow effect-bounds shard_of is a pure content hash fixed
-    // at wiring time (shard/router.cc); it reads no mutable state.
     return !options_.shard_of ||
            options_.shard_of(update) == options_.shard_index;
   }
@@ -411,8 +406,6 @@ class Warehouse : public Site {
     int attempts = 1;
     int expected_answers = 1;
     std::unordered_set<int> relations_seen;
-
-    bool operator==(const PendingQuery&) const = default;
 
     template <class Self, class V>
     static void VisitState(Self& self, V& v) {

@@ -33,8 +33,6 @@ struct PartialDelta {
 
   std::string ToDisplayString() const;
 
-  bool operator==(const PartialDelta&) const = default;
-
   template <class Self, class V>
   static void VisitState(Self& self, V& v) {
     v.Protocol("lo", self.lo);

@@ -36,8 +36,6 @@ namespace sweepmv {
 struct UpdateMessage {
   Update update;
 
-  bool operator==(const UpdateMessage&) const = default;
-
   template <class Self, class V>
   static void VisitState(Self& self, V& v) {
     v.Protocol("update", self.update);
@@ -59,8 +57,6 @@ struct QueryRequest {
   // message structs, so pre-existing aggregate initializers stay valid.
   int64_t epoch = 0;
 
-  bool operator==(const QueryRequest&) const = default;
-
   template <class Self, class V>
   static void VisitState(Self& self, V& v) {
     v.Protocol("query_id", self.query_id);
@@ -75,8 +71,6 @@ struct QueryAnswer {
   int64_t query_id = -1;
   PartialDelta partial;
   int64_t epoch = 0;  // echoed from the request
-
-  bool operator==(const QueryAnswer&) const = default;
 
   template <class Self, class V>
   static void VisitState(Self& self, V& v) {
@@ -93,8 +87,6 @@ struct EcaTerm {
   int sign = 1;
   std::vector<std::optional<Relation>> fixed;
 
-  bool operator==(const EcaTerm&) const = default;
-
   template <class Self, class V>
   static void VisitState(Self& self, V& v) {
     v.Protocol("sign", self.sign);
@@ -106,8 +98,6 @@ struct EcaQueryRequest {
   int64_t query_id = -1;
   std::vector<EcaTerm> terms;
   int64_t epoch = 0;  // warehouse recovery epoch (see QueryRequest)
-
-  bool operator==(const EcaQueryRequest&) const = default;
 
   template <class Self, class V>
   static void VisitState(Self& self, V& v) {
@@ -123,8 +113,6 @@ struct EcaQueryAnswer {
   Relation result;
   int64_t epoch = 0;  // echoed from the request
 
-  bool operator==(const EcaQueryAnswer&) const = default;
-
   template <class Self, class V>
   static void VisitState(Self& self, V& v) {
     v.Protocol("query_id", self.query_id);
@@ -136,8 +124,6 @@ struct EcaQueryAnswer {
 struct SnapshotRequest {
   int64_t query_id = -1;
   int64_t epoch = 0;  // warehouse recovery epoch (see QueryRequest)
-
-  bool operator==(const SnapshotRequest&) const = default;
 
   template <class Self, class V>
   static void VisitState(Self& self, V& v) {
@@ -151,8 +137,6 @@ struct SnapshotAnswer {
   int relation = -1;
   Relation snapshot;
   int64_t epoch = 0;  // echoed from the request
-
-  bool operator==(const SnapshotAnswer&) const = default;
 
   template <class Self, class V>
   static void VisitState(Self& self, V& v) {
@@ -187,10 +171,6 @@ struct SessionDatagram {
   int64_t cum_ack = -1;   // highest in-order delivered seq (acks only)
   int64_t epoch = 0;      // sender incarnation (acks: epoch being acked)
   std::shared_ptr<const Message> payload;  // null for pure acks
-
-  // Pointer equality on the payload: good enough for the effect oracle's
-  // change probes (controlled runs never see datagrams; see network.cc).
-  bool operator==(const SessionDatagram&) const = default;
 
   template <class Self, class V>
   static void VisitState(Self& self, V& v) {

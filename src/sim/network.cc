@@ -135,7 +135,7 @@ void HashLeaf(StateHasher& h, const char* tag, const NetworkStats& stats) {
 
 void Network::CaptureUndo() {
   if (undo_ == nullptr) return;
-  CaptureState(*undo_, *this, "Network", -1);
+  CaptureState(*undo_, *this);
 }
 
 bool Network::pristine() const {
@@ -165,28 +165,9 @@ void Network::LinkChannels::Restore(Links& links, const Channels& saved) {
   }
 }
 
-void Network::LinkChannels::Capture(UndoLog& undo, Links& links,
-                                    EffectAtom atom) {
-  // The effect probe attributes link mutations to the *sending* site:
-  // links_ is keyed (from, to) and only Send() mutates a channel, so the
-  // static table binds "links_" atoms to the sender.
-  auto changed = [](const Channel& a, const Channel& b) {
-    return a.messages_sent() != b.messages_sent() ||
-           a.last_arrival() != b.last_arrival() ||
-           a.rng_state() != b.rng_state();
-  };
-  undo.Capture(
-      &links, [&links, saved = Save(links)]() { Restore(links, saved); },
-      [&links, atom, changed, saved = Save(links)](
-          std::vector<EffectAtom>& out) {
-        for (const auto& [key, link] : links) {
-          auto channel = saved.find(key);
-          if (channel == saved.end() ||
-              changed(link.channel, channel->second)) {
-            out.push_back(EffectAtom{atom.cls, atom.member, key.first});
-          }
-        }
-      });
+void Network::LinkChannels::Capture(UndoLog& undo, Links& links) {
+  undo.Capture(&links,
+               [&links, saved = Save(links)]() { Restore(links, saved); });
 }
 
 bool Network::LinkChannels::Hash(StateHasher& h, const char* name,
@@ -323,9 +304,6 @@ void Network::ScheduleFaultyDelivery(LinkState& link, int from, int to,
     event.from = from;
     event.to = to;
     event.message = msg.get();
-    // sweeplint:allow effect-bounds the tap is a passive trace observer
-    // owned by the harness; it reads the event by value and cannot
-    // reach protocol state (trace.cc only serializes).
     tap_(event);
   }
   EventLabel label{EventKind::kDelivery, from, to,
@@ -395,9 +373,6 @@ void Network::SendAck(int from, int to, int64_t ack_epoch,
     event.from = from;
     event.to = to;
     event.message = ack.get();
-    // sweeplint:allow effect-bounds the tap is a passive trace observer
-    // owned by the harness; it reads the event by value and cannot
-    // reach protocol state (trace.cc only serializes).
     tap_(event);
   }
   EventLabel label{EventKind::kDelivery, from, to,

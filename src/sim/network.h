@@ -165,9 +165,10 @@ class Network {
 
   // Eagerly creates every directed link among `site_ids`. The controlled
   // system calls this at construction so LinkFor's lazy rng_.Fork() never
-  // fires inside an explored step — link creation would otherwise be a
-  // hidden first-send write to rng_ that the static effect table does not
-  // (and should not) charge to the sending handler.
+  // fires inside an explored step: link creation would otherwise write
+  // the shared rng_ in first-send order, so two sites' first sends (a
+  // crash's re-issued query, a transaction's notification) would not
+  // commute.
   void PrecreateLinks(const std::vector<int>& site_ids);
 
   const NetworkStats& stats() const { return stats_; }
@@ -237,13 +238,12 @@ class Network {
   // The links' channel state (FIFO clamp, message counter, jitter RNG) is
   // all a pristine link holds. Restore and undo erase links created after
   // the save point, so a replayed first send re-forks the same per-link
-  // RNG from the restored roots; the undo probe attributes a link's
-  // changes to its sending site.
+  // RNG from the restored roots.
   struct LinkChannels {
     using Channels = std::map<std::pair<int, int>, Channel>;
     static Channels Save(const Links& links);
     static void Restore(Links& links, const Channels& saved);
-    static void Capture(UndoLog& undo, Links& links, EffectAtom atom);
+    static void Capture(UndoLog& undo, Links& links);
     static bool Hash(StateHasher& h, const char* name, const Links& links,
                      bool exact);
   };

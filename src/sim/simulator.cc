@@ -69,11 +69,7 @@ void Simulator::ScheduleAt(SimTime when, EventLabel label, uint64_t digest,
 
 void Simulator::CaptureUndo() {
   if (undo_ == nullptr) return;
-  // The pending-event multiset *is* the schedule structure the explorer
-  // enumerates; the oracle exempts the Simulator class wholesale (every
-  // handler appends events, and channel append order is already the
-  // commutativity question the independence relation answers).
-  CaptureState(*undo_, *this, "Simulator", -1);
+  CaptureState(*undo_, *this);
 }
 
 void Simulator::SetScheduler(Scheduler* scheduler) {

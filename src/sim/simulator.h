@@ -83,13 +83,6 @@ class Simulator {
     // the whole state as not safely dedupable (see PendingEvents).
     uint64_t digest = 0;
     std::function<void()> fn;
-
-    // Identity comparison for the undo log's effect probes (the closure
-    // is not comparable; (when, seq) already identifies an event).
-    bool operator==(const Event& other) const {
-      return when == other.when && seq == other.seq &&
-             label == other.label && digest == other.digest;
-    }
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {

@@ -1,6 +1,6 @@
 #include "source/data_source.h"
 
-#include <memory>
+#include <utility>
 
 #include "common/check.h"
 #include "common/log.h"
@@ -79,19 +79,9 @@ void IndexedStores::Restore(std::vector<IndexedRelation>& stores,
 }
 
 void IndexedStores::Capture(UndoLog& undo,
-                            std::vector<IndexedRelation>& stores,
-                            EffectAtom atom) {
-  auto saved = std::make_shared<const std::vector<Relation>>(Save(stores));
-  undo.Capture(
-      &stores, [&stores, saved]() { Restore(stores, *saved); },
-      [&stores, atom, saved](std::vector<EffectAtom>& out) {
-        for (size_t i = 0; i < stores.size(); ++i) {
-          if (stores[i].relation() != (*saved)[i]) {
-            out.push_back(atom);
-            return;
-          }
-        }
-      });
+                            std::vector<IndexedRelation>& stores) {
+  undo.Capture(&stores,
+               [&stores, saved = Save(stores)]() { Restore(stores, saved); });
 }
 
 bool IndexedStores::Hash(StateHasher& h, const char* name,
@@ -112,7 +102,7 @@ bool DataSource::QueryCounts::Hash(StateHasher& h, const char* name,
 
 void DataSource::CaptureUndo() {
   if (undo_ == nullptr) return;
-  CaptureState(*undo_, *this, "DataSource", site_id_);
+  CaptureState(*undo_, *this);
 }
 
 size_t DataSource::Slot(int relation_index) const {

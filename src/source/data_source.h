@@ -67,8 +67,8 @@ class UpdateIdGenerator {
 // every site that may advance it records it at its own entry points (the
 // log's first-touch-per-era dedup keeps one entry per watermark span).
 struct SharedIdGenerator {
-  static void Capture(UndoLog& undo, UpdateIdGenerator* ids, EffectAtom) {
-    CaptureState(undo, *ids, "UpdateIdGenerator", -1);
+  static void Capture(UndoLog& undo, UpdateIdGenerator* ids) {
+    CaptureState(undo, *ids);
   }
 };
 
@@ -80,8 +80,7 @@ struct IndexedStores {
       const std::vector<IndexedRelation>& stores);
   static void Restore(std::vector<IndexedRelation>& stores,
                       const std::vector<Relation>& saved);
-  static void Capture(UndoLog& undo, std::vector<IndexedRelation>& stores,
-                      EffectAtom atom);
+  static void Capture(UndoLog& undo, std::vector<IndexedRelation>& stores);
   static bool Hash(StateHasher& h, const char* name,
                    const std::vector<IndexedRelation>& stores, bool exact);
 };

@@ -19,8 +19,6 @@ struct LoggedUpdate {
   int64_t id = -1;
   Relation delta;
   SimTime applied_at = 0;
-
-  bool operator==(const LoggedUpdate&) const = default;
 };
 
 class StateLog {
@@ -38,8 +36,6 @@ class StateLog {
 
   // Position of the update with the given id in this log, or -1.
   int IndexOf(int64_t id) const;
-
-  bool operator==(const StateLog&) const = default;
 
  private:
   Relation initial_;

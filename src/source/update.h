@@ -58,8 +58,6 @@ struct Update {
 
   std::string ToDisplayString() const;
 
-  bool operator==(const Update&) const = default;
-
   template <class Self, class V>
   static void VisitState(Self& self, V& v) {
     v.Protocol("id", self.id);

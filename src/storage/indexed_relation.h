@@ -42,8 +42,6 @@ struct StorageStats {
   int64_t indexes_maintained = 0;  // live indexes across the site
 
   void MergeFrom(const StorageStats& other);
-
-  bool operator==(const StorageStats&) const = default;
 };
 
 class IndexedRelation {

@@ -122,9 +122,9 @@ ControlledSystem::ControlledSystem(const ControlledScenario& scenario,
   }
 
   // Pre-create every link now, outside any explored step: LinkFor's lazy
-  // creation forks the network RNG, and the effect oracle would otherwise
-  // see that fork as a hidden rng_ write charged to whichever handler
-  // happened to send on the link first.
+  // creation forks the network RNG, which would make each link's stream
+  // depend on which site sent first, and a crash would no longer commute
+  // with a source transaction (verify/effects.h).
   std::vector<int> all_sites;
   all_sites.push_back(kWarehouseSite);
   for (const auto& source : sources_) all_sites.push_back(source->site_id());

@@ -1,118 +1,66 @@
-// Refined independence from statically inferred effect sets.
+// Refined independence: the one grant the site rule cannot make.
 //
 // verify/schedule.h's site rule lets two events commute iff they execute
 // at different sites, and declares internal events (crash, arm-drop)
 // dependent on everything. That is sound but coarse: a controlled
-// warehouse crash touches only warehouse-site state plus a few global
-// counters, and a source transaction touches only its source — they
-// commute, and the sleep-set search that knows it prunes every schedule
-// that merely reorders the two.
+// warehouse crash and a source transaction commute, and the sleep-set
+// search that knows it prunes every schedule that merely reorders the
+// two.
 //
-// EffectsIndex supplies that knowledge. It binds the generated
-// per-handler effect table (src/verify/effects_table.h, inferred by
-// tools/sweeplint/effects.py and regenerated by gen_effects.py) to one
-// concrete scenario: each handler row's "Class::member@binding" atoms
-// resolve to (class, member, site) triples using the scenario's site map
-// (warehouse 0, sources 1..n, extra warehouses past the sources), and
-// two events commute when their resolved footprints cannot interfere:
+// EffectsIndex grants exactly that pair, because the two events write
+// disjoint state:
 //
-//   * writes conflict with everything (write/read/inc) on either side;
-//   * increments conflict with reads (the reader observes the count)
-//     but commute with each other — counter bumps are order-blind;
-//   * conditional drop-consume writes count as writes only in scenarios
-//     that can arm a drop, and vanish otherwise.
+//   * a crash (Warehouse::CrashAndRecover) writes only its warehouse's
+//     members, that warehouse's outgoing links (the re-issued queries)
+//     and order-blind counters (the network's message statistics);
+//   * a transaction (DataSource::ApplyTxn) writes only its source, that
+//     source's outgoing links (the update notifications), the counters
+//     and the update-id generator.
 //
-// The grant is deliberately narrow: only transaction and internal events
-// qualify (deliveries already commute across sites under the site rule,
-// and same-site handlers always share state), events on one FIFO channel
-// stay dependent (their order is semantic), and any handler the static
-// analysis could not bound falls back to the site rule. The refined
-// relation is therefore the site rule's verdict OR the effect grant —
-// never less sound than the baseline it sharpens.
+// Neither reads what the other writes, and counter bumps commute. Both
+// also append events to the simulator, which the canonical fingerprint
+// describes per channel, so append order across channels is not state.
 //
-// The soundness oracle closes the loop at run time: in debug exploration
-// mode the undo log observes which members each executed step actually
-// changed (UndoLog::SetObserve / DrainObserved), and CheckObserved
-// asserts that the observation is contained in the handler's static
-// write footprint — an unsound (under-approximated) table fails loudly
-// on the first schedule that exercises the missing effect.
+// Scenarios that can arm a message drop get no grant. A crash and an
+// arm-drop share the internal channel, so their EventIds cannot tell
+// them apart: sleeping the crash would sleep the arm-drop too, and an
+// armed drop consumes the next message a transaction sends.
+//
+// The rule is checked at run time, not trusted: with
+// ExplorerConfig::effects_oracle the explorer replays every grant it
+// uses in both orders from the node where it uses it (CommuteAt,
+// verify/explorer.h).
 
 #ifndef SWEEPMV_VERIFY_EFFECTS_H_
 #define SWEEPMV_VERIFY_EFFECTS_H_
 
-#include <map>
-#include <set>
-#include <string>
-#include <vector>
+#include <cstdint>
 
-#include "common/undo.h"
 #include "verify/controlled_run.h"
 
 namespace sweepmv {
 
 class EffectsIndex {
  public:
-  // Binds the compiled-in effect table to `scenario`'s concrete sites.
+  // The grant as it applies to `scenario`: on unless it arms drops.
   static EffectsIndex ForScenario(const ControlledScenario& scenario);
 
-  // True when the static table proves the handlers of `a` and `b`
-  // commute. False is not a dependence verdict — merely "no grant": the
-  // caller must still apply the site rule. Unresolvable labels (timer
-  // events, channel-head reconstructions of internal events), unbounded
-  // handlers and shared channels all decline.
+  // True iff one of `a` and `b` is a source transaction, the other the
+  // warehouse crash, and the scenario arms no message drop. False is not
+  // a dependence verdict, merely "no grant": the caller must still apply
+  // the site rule.
   bool Commute(const EventLabel& a, const EventLabel& b) const;
-
-  // Soundness oracle for one executed event: every member the undo log
-  // observed changed must lie in the handler's static write footprint
-  // (writes + incs + drop-writes). Atoms of classes outside the table's
-  // universe (e.g. the Simulator's own bookkeeping) are ignored — they
-  // are schedule mechanics, not protocol state. Returns false and fills
-  // `error` on the first violation; events with no table row (timers)
-  // vacuously pass.
-  bool CheckObserved(const EventLabel& label,
-                     const std::vector<EffectAtom>& observed,
-                     std::string* error) const;
-
-  // Number of handler rows resolved for this scenario (tests).
-  size_t num_rows() const { return rows_.size(); }
 
  private:
   EffectsIndex() = default;
 
-  // A handler row with its atoms resolved to interned ids and split by
-  // effect kind; sorted vectors so conflict tests are linear merges.
-  struct Row {
-    std::vector<int> reads;
-    std::vector<int> writes;  // includes drop-writes when drops enabled
-    std::vector<int> incs;
-    bool bounded = false;
-  };
-
-  // Lookup key: event category ("message", "query", "txn", "crash",
-  // "arm-drop") plus the executing site (-1 for site-less internal
-  // events like arm-drop).
-  using Key = std::pair<std::string, int>;
-
-  int Intern(const std::string& cls, const std::string& member, int site);
-  void AddRow(const Key& key, const char* handler_class, const char* kind,
-              int self_site, bool drops_enabled);
-  const Row* RowFor(const EventLabel& label) const;
-
-  std::map<Key, Row> rows_;
-  // Interned (class, member, site) -> dense id.
-  std::map<std::string, int> atom_ids_;
-  // Classes the table mentions — the oracle's universe.
-  std::set<std::string> known_classes_;
-  // A crash and an arm-drop event share the internal channel and are
-  // indistinguishable by EventId; granting independence to either would
-  // let the sleep set prune the other. Scenarios mixing both get no
-  // internal-event grants.
-  bool mixed_internal_ = false;
+  bool crash_commutes_with_txn_ = false;
 };
 
 // The explorer's independence relation: the site rule, sharpened by the
-// effect table when one is supplied. Increments `*refined_grants` each
-// time the effects grant fires where the site rule alone would not.
+// crash/transaction grant when an index is supplied. Increments
+// `*refined_grants` each time the grant fires where the site rule alone
+// would not.
 bool IndependentUnder(const EffectsIndex* effects, const EventLabel& a,
                       const EventLabel& b,
                       int64_t* refined_grants = nullptr);

@@ -107,18 +107,18 @@ struct ExplorerConfig {
   // recomputed summary matches the cached one (collision detector).
   bool verify_on_hit = false;
   // Refined independence (verify/effects.h): when set, the sleep-set
-  // search consults the statically inferred effect table on top of the
-  // site rule — the extra grants (e.g. a controlled warehouse crash
-  // commuting with a source transaction) prune schedules the site rule
-  // must enumerate. Null = site rule only. The pointer must outlive the
-  // exploration and the index must be built for this config's scenario.
+  // search adds one grant to the site rule, a controlled warehouse crash
+  // commuting with a source transaction, and so prunes schedules the site
+  // rule must enumerate. Null = site rule only. The pointer must outlive
+  // the exploration and the index must be built for this config's
+  // scenario.
   const EffectsIndex* effects = nullptr;
-  // Debug soundness oracle: after every executed step, drain the undo
-  // log's observation probes and assert the set of members that actually
-  // changed is contained in the static effect table's write footprint
-  // for that handler. Catches an under-approximated table on the first
-  // schedule that exercises the missing effect. Requires `effects`,
-  // use_undo and the prefix-sharing engine.
+  // Debug soundness oracle: every time a sleep set keeps an event asleep
+  // on the strength of an `effects` grant, CommuteAt replays the node in
+  // both orders and the exploration aborts unless they reach one state.
+  // The replays charge no tallies, so an oracle run counts exactly what
+  // the same run without it counts. Requires `effects` and the
+  // prefix-sharing engine.
   bool effects_oracle = false;
 };
 
@@ -161,8 +161,8 @@ struct ExploreResult : ScheduleTallies {
   // minimization probe. executions / schedules is the replay-redundancy
   // factor: ~1 with prefix sharing, above it for the stateless engine.
   int64_t executions = 0;
-  // Independence queries the effect table granted where the site rule
-  // alone said dependent (config.effects set). Like `executions` it
+  // Independence queries the crash/transaction grant answered where the
+  // site rule alone said dependent (config.effects set). Like `executions` it
   // counts work actually performed, so a dedup hit — which skips the
   // queries — does not replay it; totals are engine-dependent.
   int64_t refined_grants = 0;
@@ -204,6 +204,16 @@ std::vector<size_t> MinimizeViolation(const ControlledScenario& scenario,
                                       std::vector<size_t> choices,
                                       int64_t max_steps_per_run,
                                       int64_t* executions = nullptr);
+
+// The effects oracle's check of one grant: replays `path` into a fresh
+// system of `scenario` twice, runs `a` then `b` in one and `b` then `a` in
+// the other, and returns true iff each event stays enabled after the
+// other and both end states are hashable with one canonical HashState.
+// `a` and `b` name ready events of the node `path` reaches, each the head
+// of its own channel. On false, `why` (if given) says which test failed.
+bool CommuteAt(const ControlledScenario& scenario,
+               const std::vector<size_t>& path, const EventLabel& a,
+               const EventLabel& b, std::string* why = nullptr);
 
 }  // namespace sweepmv
 

@@ -3,8 +3,8 @@
 This module owns the declaration-level checks and the check registry;
 the dataflow checks live beside it and are dispatched from run_checks()
 here: determinism-taint (taint.py, nondeterminism source->sink
-dataflow), protocol-guard (guards.py, epoch filtering / send-handle
-pairing / stride stamping) and effect-bounds (effects.py).
+dataflow) and protocol-guard (guards.py, epoch filtering / send-handle
+pairing / stride stamping).
 
 state-inventory
     Every class or struct with a state list (a VisitState body, see
@@ -58,7 +58,6 @@ from tokutil import (
     suppressed as _suppressed,
     unordered_type,
 )
-from effects import CHECK_EFFECTS, EFFECTS_SCOPE, check_effect_bounds
 from guards import CHECK_GUARD, GUARD_SCOPE, check_protocol_guard
 from taint import CHECK_TAINT, TAINT_SCOPE, check_determinism_taint
 
@@ -72,7 +71,6 @@ ALL_CHECKS = (
     CHECK_EVENT_LABEL,
     CHECK_TAINT,
     CHECK_GUARD,
-    CHECK_EFFECTS,
 )
 
 # Default directory scopes (relative-path prefixes) per check; fixture
@@ -139,9 +137,6 @@ def run_checks(
     if CHECK_GUARD in checks:
         scope = None if scope_all else GUARD_SCOPE
         diags.extend(check_protocol_guard(model, scope))
-    if CHECK_EFFECTS in checks:
-        scope = None if scope_all else EFFECTS_SCOPE
-        diags.extend(check_effect_bounds(model, scope))
     return sort_diagnostics(diags)
 
 

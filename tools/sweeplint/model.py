@@ -12,9 +12,8 @@ The model is deliberately token-oriented: a method body is a list of
 (spelling, line) tokens, and "class C lists member m_ with tag T" is
 defined as "C's VisitState body contains a call `v.T(..., self.m_ ...)`"
 (StateEntry, parse_state_list). That definition is what the
-state-inventory check enforces, what the effects pass reads Fixed tags
-from, and what the mutation smoke perturbs, so it is part of the tool's
-contract (documented in docs/verification.md).
+state-inventory check enforces and what the mutation smoke perturbs, so
+it is part of the tool's contract (documented in docs/verification.md).
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ MIN_RATIONALE_LEN = 8
 # `v.<Tag>("name", self.member[, Adapter{}]);`.
 STATE_LIST_METHOD = "VisitState"
 STATE_TAGS = ("Protocol", "Log", "Durable", "History", "Fixed")
-# The tags the derived warehouse checkpoint codec writes.
-CHECKPOINT_TAGS = ("Protocol", "Log", "History")
 
 
 @dataclasses.dataclass
@@ -134,13 +131,6 @@ class ClassInfo:
         """The class's state-list entries, or None without a list."""
         body = self.methods.get(STATE_LIST_METHOD)
         return None if body is None else parse_state_list(body)
-
-    def state_tags(self) -> Dict[str, str]:
-        """member -> tag of its first entry (empty without a list)."""
-        tags: Dict[str, str] = {}
-        for entry in self.state_list() or []:
-            tags.setdefault(entry.member, entry.tag)
-        return tags
 
 
 @dataclasses.dataclass

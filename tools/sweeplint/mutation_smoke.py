@@ -28,23 +28,15 @@ naming the mutated construct:
                     trace, checkpoint write, query-id assignment), both
                     directly and laundered through a helper's return
                     value — 40 source-to-sink flows the taint pass must
-                    reconstruct;
-  hide-write        insert a direct member write (`member_ = member_;`)
-                    into an event-handler dispatch body, bypassing every
-                    capture helper — no lint diagnostic fires; the catch
-                    is the generated effect table (the exact drift
-                    gen_effects.py --check gates in CI): the member must
-                    migrate into the handler row's write column, or the
-                    explorer's refined independence relation would be
-                    reasoning from a stale footprint.
+                    reconstruct.
 
 --all sweeps every eligible target of every mode (CI); --seed N mutates
 one pseudo-randomly chosen target per mode (the quick local smoke).
 
 Exit 0 when every attempted mutation was caught, 1 otherwise. Under
 --all, additionally fails if fewer than 40 mutations target the v2
-checks (determinism-taint + protocol-guard) or fewer than 6 target the
-v3 effect table (hide-write) — the floors the sweep certifies.
+checks (determinism-taint + protocol-guard) — the floor the sweep
+certifies.
 """
 
 from __future__ import annotations
@@ -59,7 +51,6 @@ from typing import Dict, List, Optional, Tuple
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import checks as checks_mod  # noqa: E402
-import effects as effects_mod  # noqa: E402
 import frontend_micro  # noqa: E402
 import guards as guards_mod  # noqa: E402
 from model import (  # noqa: E402
@@ -79,20 +70,9 @@ ALL_MODES = (
     "drop-handler",
     "drop-stride",
     "taint-inject",
-    "hide-write",
 )
 V2_MODES = ("drop-epoch-guard", "drop-handler", "drop-stride", "taint-inject")
 V2_FLOOR = 40
-HIDE_WRITE_FLOOR = 6
-
-# kind column of the effect table -> the dispatch method it summarizes.
-_KIND_TO_METHOD = {
-    "message": "OnMessage",
-    "txn": "ApplyTxn",
-    "query": "OnMessage",
-    "crash": "CrashAndRecover",
-    "arm-drop": "ArmControlledDrop",
-}
 
 _DISPATCH_FILE = "src/core/warehouse.cc"
 _STRIDE_FILE = "src/shard/sharded_scenario.cc"
@@ -168,13 +148,6 @@ class Target:
 
     def label(self) -> str:
         return f"{self.mode}:{self._label}"
-
-
-def _body_line_range(method: Method) -> Tuple[int, int]:
-    lines = [line for _, line in method.tokens]
-    if not lines:
-        return (method.line, method.line)
-    return (min(lines), max(lines))
 
 
 def _delete_statement(text: str, start_line: int) -> str:
@@ -414,74 +387,6 @@ def discover_taint_targets(files: Dict[str, str]) -> List[Target]:
     return targets
 
 
-def _insert_member_write(
-    text: str, method: Method, member: str
-) -> Optional[str]:
-    """Inserts a bare `member = member;` after the first complete
-    single-line statement of `method`'s body — a direct write that goes
-    through no capture helper and no setter."""
-    first, last = _body_line_range(method)
-    lines = text.split("\n")
-    for idx in range(first - 1, last):
-        line = lines[idx]
-        stripped = line.rstrip()
-        # A line ending in ';' with balanced parens is a finished
-        # statement (not a split for-header or argument list).
-        if stripped.endswith(";") and line.count("(") == line.count(")"):
-            indent = line[: len(line) - len(line.lstrip())]
-            lines.insert(idx + 1, f"{indent}{member} = {member};")
-            return "\n".join(lines)
-    return None
-
-
-def discover_hide_write_targets(
-    files: Dict[str, str], model: Model
-) -> List[Target]:
-    """One target per (dispatch body, read-only member): a direct write
-    hidden in the handler. The checks list is empty — run_target
-    special-cases this mode and regenerates the effect table instead,
-    requiring the member to migrate into the row's write column (the
-    drift gen_effects.py --check fails CI on)."""
-    ctx = effects_mod._EffCtx(model)
-    base_rows = {
-        (r.handler_class, r.kind): r
-        for r in effects_mod.infer_effects(model)
-    }
-    targets: List[Target] = []
-    seen: set = set()
-    for (cls, kind), row in sorted(base_rows.items()):
-        if not row.bounded:
-            continue
-        body = ctx.body_for(cls, _KIND_TO_METHOD[kind])
-        if body is None or not body.file.startswith("src/"):
-            continue
-        fields = ctx.chain_fields.get(cls, {})
-        for atom in row.reads:
-            owner_member = atom.split("@")[0]
-            owner, member = owner_member.split("::")
-            info = fields.get(member)
-            # Only members the dispatch body can assign directly: fields
-            # of the handler's own chain, resolved to the same declaring
-            # class the table names.
-            if info is None or info[0] != owner:
-                continue
-            key = (body.file, body.line, member)
-            if key in seen:
-                continue  # shared base body: one mutation covers all leaves
-            seen.add(key)
-            targets.append(
-                Target(
-                    "hide-write",
-                    f"{cls}.{member}",
-                    [(body.file, _insert_member_write(
-                        files[body.file], body, member))],
-                    (),
-                    [owner_member],
-                )
-            )
-    return [t for t in targets if t.mutations[0][1] is not None]
-
-
 def discover_targets(
     root: Path, files: Dict[str, str], model: Model
 ) -> List[Target]:
@@ -490,7 +395,6 @@ def discover_targets(
     targets.extend(discover_handler_targets(files, model))
     targets.extend(discover_stride_targets(files))
     targets.extend(discover_taint_targets(files))
-    targets.extend(discover_hide_write_targets(files, model))
     return targets
 
 
@@ -525,41 +429,6 @@ def run_target(
         if not hits:
             summary = "; ".join(d.text() for d in diags[:3]) or "no output"
             return False, f"mutating {rel} produced no diagnostic ({summary})"
-    return True, ""
-
-
-def run_hide_write(
-    target: Target,
-    parsed_cache: Dict[str, "frontend_micro.ParsedFile"],
-    base_rows: Dict[Tuple[str, str], "effects_mod.HandlerRow"],
-) -> Tuple[bool, str]:
-    """Regenerates the effect table from the mutated tree: the hidden
-    write is caught iff the member moved into some handler row's write
-    column that did not have it before — i.e. the committed table went
-    stale and gen_effects.py --check would fail the build."""
-    atom_prefix = target.needles[0] + "@"
-    for rel, mutated_text in target.mutations:
-        parsed = dict(parsed_cache)
-        parsed[rel] = frontend_micro.parse_file(rel, mutated_text)
-        model = frontend_micro.model_from_parsed(
-            [parsed[p] for p in sorted(parsed)]
-        )
-        caught = False
-        for row in effects_mod.infer_effects(model):
-            base = base_rows.get((row.handler_class, row.kind))
-            if base is None:
-                continue
-            gained = {
-                a for a in row.writes if a.startswith(atom_prefix)
-            } - set(base.writes)
-            if gained:
-                caught = True
-                break
-        if not caught:
-            return False, (
-                f"hidden write of {target.needles[0]} in {rel} left the "
-                "generated effect table unchanged"
-            )
     return True, ""
 
 
@@ -612,18 +481,10 @@ def main() -> int:
             if pool:
                 chosen.append(pool[args.seed % len(pool)])
 
-    base_rows = {
-        (r.handler_class, r.kind): r
-        for r in effects_mod.infer_effects(base_model)
-    }
-
     failures = 0
     per_mode: Dict[str, int] = {}
     for target in chosen:
-        if target.mode == "hide-write":
-            ok, why = run_hide_write(target, parsed_cache, base_rows)
-        else:
-            ok, why = run_target(target, files, parsed_cache)
+        ok, why = run_target(target, files, parsed_cache)
         if ok:
             per_mode[target.mode] = per_mode.get(target.mode, 0) + 1
             print(f"caught {target.label()}")
@@ -644,18 +505,6 @@ def main() -> int:
             print(
                 "mutation_smoke: v2 sweep below floor — the new checks "
                 "are under-exercised",
-                file=sys.stderr,
-            )
-            return 1
-        hide_caught = per_mode.get("hide-write", 0)
-        print(
-            f"mutation_smoke: {hide_caught} hide-write mutations "
-            f"(effect-table drift, floor {HIDE_WRITE_FLOOR})"
-        )
-        if hide_caught < HIDE_WRITE_FLOOR:
-            print(
-                "mutation_smoke: hide-write sweep below floor — the "
-                "effect table is under-exercised",
                 file=sys.stderr,
             )
             return 1

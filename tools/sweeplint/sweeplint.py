@@ -4,8 +4,9 @@
 Where tools/lint_invariants.py pattern-matches lines, sweeplint
 understands declarations: which classes declare a state list, which
 members they have, what a method body references. Declaration-level
-checks (see checks.py for the full statements; the dataflow checks are
-listed by --list-checks):
+checks (see checks.py for the full statements; the two dataflow checks,
+determinism-taint and protocol-guard, live in taint.py and guards.py and
+are listed by --list-checks):
 
   state-inventory         every member of a class with a state list
                           (VisitState) is listed in it exactly once
