@@ -55,8 +55,7 @@
 //
 //   Save(const T&) -> S, Restore(T&, const S&)   snapshot as an S
 //   Capture(UndoLog&, T&)                        custom undo entry
-//   Hash(StateHasher&, const char* name, const T&, bool exact) -> bool
-//                                                false = not dedupable
+//   Hash(StateHasher&, const char* name, const T&, bool exact)
 //
 // Checkpoint type map: int -> I32; other integers -> I64; bool -> Bool;
 // enums -> U8; strings -> an I64 length, then the bytes; optional -> a
@@ -452,13 +451,10 @@ class StateHashVisitor : public StateVisitor<StateHashVisitor> {
  public:
   StateHashVisitor(StateHasher& h, bool exact) : h_(h), exact_(exact) {}
 
-  // False once any adapter reported content it cannot digest.
-  bool hashable() const { return hashable_; }
-
   template <StateTag tag, class T, class A>
   void Entry(const char* name, const T& x, A) {
     if constexpr (requires { A::Hash(h_, name, x, exact_); }) {
-      if (!A::Hash(h_, name, x, exact_)) hashable_ = false;
+      A::Hash(h_, name, x, exact_);
     } else if constexpr (tag == StateTag::kFixed) {
     } else {
       if (tag == StateTag::kHistory && !exact_) return;
@@ -507,7 +503,6 @@ class StateHashVisitor : public StateVisitor<StateHashVisitor> {
  private:
   StateHasher& h_;
   bool exact_;
-  bool hashable_ = true;
 };
 
 // A reference to one of a closed set of visitors, for handing a list

@@ -342,7 +342,7 @@ void Warehouse::ArmQueryTimer(int64_t query_id) {
     const Fp128 t = timer_hash.Digest();
     timer_digest = (t.lo ^ t.hi) == 0 ? 1 : (t.lo ^ t.hi);
   }
-  // lint:allow direct-schedule local timer, not a protocol message: fires
+  // sweeplint:allow direct-schedule local timer, not a protocol message: fires
   // at this site only, sends nothing itself, so it needs no EventLabel
   // channel and cannot perturb per-link FIFO order.
   network_->simulator()->Schedule(

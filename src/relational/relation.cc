@@ -163,8 +163,8 @@ std::ostream& operator<<(std::ostream& os, const Relation& r) {
 
 Fp128 RelationDigest(const Relation& rel) {
   Fp128 sum;
-  // sweeplint:allow unordered-iteration commutative reduction: lane sums
-  // mod 2^64 are the same in every visit order.
+  // A commutative reduction: lane sums mod 2^64 are the same in every
+  // visit order.
   for (const auto& [t, c] : rel.entries()) {
     const uint64_t hash = static_cast<uint64_t>(t.Hash());
     const uint64_t count = static_cast<uint64_t>(c);

@@ -170,7 +170,7 @@ void Network::LinkChannels::Capture(UndoLog& undo, Links& links) {
                [&links, saved = Save(links)]() { Restore(links, saved); });
 }
 
-bool Network::LinkChannels::Hash(StateHasher& h, const char* name,
+void Network::LinkChannels::Hash(StateHasher& h, const char* name,
                                  const Links& links, bool) {
   h.U64(name, links.size());
   for (const auto& [key, link] : links) {
@@ -180,7 +180,6 @@ bool Network::LinkChannels::Hash(StateHasher& h, const char* name,
     h.I64(name, link.channel.last_arrival());
     h.U64(name, link.channel.rng_state());
   }
-  return true;
 }
 
 void Network::Send(int from, int to, Message msg) {
@@ -293,7 +292,7 @@ void Network::ScheduleFaultyDelivery(LinkState& link, int from, int to,
   SimTime arrival =
       link.faults->preserve_fifo
           ? link.channel.NextArrival(depart, payload)
-          // lint:allow unordered-arrival fault injection deliberately
+          // sweeplint:allow unordered-arrival fault injection deliberately
           // reorders this link; consumers must opt out of FIFO dedup
           // (Options::fifo_update_streams=false) on such runs.
           : link.channel.UnorderedArrival(depart, payload);

@@ -244,7 +244,7 @@ class Network {
     static Channels Save(const Links& links);
     static void Restore(Links& links, const Channels& saved);
     static void Capture(UndoLog& undo, Links& links);
-    static bool Hash(StateHasher& h, const char* name, const Links& links,
+    static void Hash(StateHasher& h, const char* name, const Links& links,
                      bool exact);
   };
 

@@ -115,10 +115,9 @@ std::vector<Scheduler::Candidate> Simulator::Ready() const {
   return ready;
 }
 
-bool Simulator::PendingEvents::Hash(StateHasher& h, const char* name,
+void Simulator::PendingEvents::Hash(StateHasher& h, const char* name,
                                     const std::vector<Event>& pending,
                                     bool exact) {
-  bool hashable = true;
   if (exact) {
     std::vector<const Event*> events;
     events.reserve(pending.size());
@@ -133,10 +132,10 @@ bool Simulator::PendingEvents::Hash(StateHasher& h, const char* name,
       h.I64("ev.from", ev->label.from);
       h.I64("ev.to", ev->label.to);
       h.Bytes("ev.what", ev->label.what, std::strlen(ev->label.what));
+      SWEEP_CHECK_MSG(ev->digest != 0, "a controlled event has no digest");
       h.U64("ev.digest", ev->digest);
-      if (ev->digest == 0) hashable = false;
     }
-    return hashable;
+    return;
   }
   // Canonical mode: absolute sequence numbers are interleaving history,
   // not state — group per FIFO channel (one sort in channel-key order)
@@ -173,11 +172,10 @@ bool Simulator::PendingEvents::Hash(StateHasher& h, const char* name,
       h.U64("ev.ordinal", i - begin);
       h.I64("ev.when", ev->when);
       h.Bytes("ev.what", ev->label.what, std::strlen(ev->label.what));
+      SWEEP_CHECK_MSG(ev->digest != 0, "a controlled event has no digest");
       h.U64("ev.digest", ev->digest);
-      if (ev->digest == 0) hashable = false;
     }
   }
-  return hashable;
 }
 
 bool Simulator::StepControlled() {

@@ -79,8 +79,8 @@ class Simulator {
     int64_t seq;
     EventLabel label;
     // Content digest of what this event will do (message hash, txn hash,
-    // …) for canonical state fingerprints; 0 = undigested, which marks
-    // the whole state as not safely dedupable (see PendingEvents).
+    // …) for canonical state fingerprints; 0 = undigested, which only
+    // free-running events may be (see PendingEvents).
     uint64_t digest = 0;
     std::function<void()> fn;
   };
@@ -169,10 +169,10 @@ class Simulator {
   // them by seq and includes absolute sequence numbers; canonical mode
   // (the dedup key) groups them per FIFO channel with within-channel
   // ordinals, so two interleavings reaching the same logical state digest
-  // identically. Returns false if any pending event lacks a content
-  // digest: that state must not be deduplicated.
+  // identically. Every controlled event carries a nonzero content digest;
+  // a zero one aborts.
   struct PendingEvents {
-    static bool Hash(StateHasher& h, const char* name,
+    static void Hash(StateHasher& h, const char* name,
                      const std::vector<Event>& events, bool exact);
   };
 

@@ -84,20 +84,18 @@ void IndexedStores::Capture(UndoLog& undo,
                [&stores, saved = Save(stores)]() { Restore(stores, saved); });
 }
 
-bool IndexedStores::Hash(StateHasher& h, const char* name,
+void IndexedStores::Hash(StateHasher& h, const char* name,
                          const std::vector<IndexedRelation>& stores, bool) {
   h.U64(name, stores.size());
   for (const IndexedRelation& store : stores) {
     HashLeaf(h, name, store.relation());
   }
-  return true;
 }
 
-bool DataSource::QueryCounts::Hash(StateHasher& h, const char* name,
+void DataSource::QueryCounts::Hash(StateHasher& h, const char* name,
                                    const StorageStats& stats, bool) {
   h.I64(name, stats.index_probes);
   h.I64(name, stats.scan_fallbacks);
-  return true;
 }
 
 void DataSource::CaptureUndo() {

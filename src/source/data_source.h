@@ -81,7 +81,7 @@ struct IndexedStores {
   static void Restore(std::vector<IndexedRelation>& stores,
                       const std::vector<Relation>& saved);
   static void Capture(UndoLog& undo, std::vector<IndexedRelation>& stores);
-  static bool Hash(StateHasher& h, const char* name,
+  static void Hash(StateHasher& h, const char* name,
                    const std::vector<IndexedRelation>& stores, bool exact);
 };
 
@@ -194,7 +194,7 @@ class DataSource : public Site {
   // Fingerprints the probe and scan-fallback counts of the query stats;
   // matches per probe are query history, not state.
   struct QueryCounts {
-    static bool Hash(StateHasher& h, const char* name,
+    static void Hash(StateHasher& h, const char* name,
                      const StorageStats& stats, bool exact);
   };
 

@@ -182,12 +182,11 @@ void ControlledSystem::AttachUndo(UndoLog* undo) {
   for (auto& warehouse : warehouses_) warehouse->AttachUndo(undo);
 }
 
-bool ControlledSystem::HashState(Fp128* fp) const {
+void ControlledSystem::HashState(Fp128* fp) const {
   StateHasher h;
   StateHashVisitor visitor(h, /*exact=*/false);
   VisitState(*this, visitor);
   *fp = h.Digest();
-  return visitor.hashable();
 }
 
 std::string ControlledSystem::CanonicalDebugDump() const {

@@ -145,9 +145,8 @@ class ControlledSystem {
   // channels, and the in-flight message set keyed per channel (content
   // digests, not sequence numbers). Built from sorted/keyed iteration so
   // the same logical state always hashes identically, whichever schedule
-  // reached it. Returns false — and the explorer must not dedup on this
-  // state — when a pending event carries no content digest.
-  bool HashState(Fp128* fp) const;
+  // reached it.
+  void HashState(Fp128* fp) const;
 
   // Exact-mode, human-readable serialization of the same state (absolute
   // event sequence numbers and clock included): the byte string the undo

@@ -195,7 +195,6 @@ void MergeTask(const ExploreResult& r, ExploreResult& merged) {
   merged.anchor_snapshots += r.anchor_snapshots;
   merged.dedup_hits += r.dedup_hits;
   merged.dedup_inserts += r.dedup_inserts;
-  merged.dedup_unhashable += r.dedup_unhashable;
   if (!merged.counterexample.has_value() && r.counterexample.has_value()) {
     merged.counterexample = r.counterexample;
   }
@@ -505,20 +504,17 @@ struct Walker {
     std::optional<Scope> scope;
     if (branch && config.dedup_states && visited != nullptr) {
       Fp128 fp;
-      if (system->HashState(&fp)) {
-        key = MakeVisitedKey(fp, path.size(), sleep);
-        cached = visited->Lookup(key);
-        if (cached.has_value()) {
-          ++result.dedup_hits;
-          if (!config.verify_on_hit) {
-            MergeSummary(*cached);
-            return;
-          }
+      system->HashState(&fp);
+      key = MakeVisitedKey(fp, path.size(), sleep);
+      cached = visited->Lookup(key);
+      if (cached.has_value()) {
+        ++result.dedup_hits;
+        if (!config.verify_on_hit) {
+          MergeSummary(*cached);
+          return;
         }
-        scope = OpenScope();
-      } else {
-        ++result.dedup_unhashable;
       }
+      scope = OpenScope();
     }
 
     // Backtrack state. The stateless engine keeps none: it rebuilds. With
@@ -880,9 +876,7 @@ bool CommuteAt(const ControlledScenario& scenario,
     }
     scheduler.SetNext(*run_second);
     system.Run(1);
-    if (!system.HashState(&end[order])) {
-      return fail("an end state is not hashable");
-    }
+    system.HashState(&end[order]);
   }
   if (end[0] != end[1]) return fail("the two orders reach different states");
   return true;

@@ -178,12 +178,10 @@ struct ExploreResult : ScheduleTallies {
   int64_t undo_rollbacks = 0;
   int64_t anchor_snapshots = 0;
   // --- State-space dedup (dedup_states) ---
-  // Subtrees pruned by a visited-state hit, completed subtrees inserted,
-  // and nodes skipped because a pending event had no content digest
-  // (conservatively treated as unique).
+  // Subtrees pruned by a visited-state hit and completed subtrees
+  // inserted.
   int64_t dedup_hits = 0;
   int64_t dedup_inserts = 0;
-  int64_t dedup_unhashable = 0;
   // Parallel exploration ran the sequential search instead, because the
   // frontier split produced fewer than two runnable subtree tasks (it
   // exhausted a tiny schedule space, or the scenario cannot fan out).
@@ -208,7 +206,7 @@ std::vector<size_t> MinimizeViolation(const ControlledScenario& scenario,
 // The effects oracle's check of one grant: replays `path` into a fresh
 // system of `scenario` twice, runs `a` then `b` in one and `b` then `a` in
 // the other, and returns true iff each event stays enabled after the
-// other and both end states are hashable with one canonical HashState.
+// other and both end states reach one canonical HashState.
 // `a` and `b` name ready events of the node `path` reaches, each the head
 // of its own channel. On false, `why` (if given) says which test failed.
 bool CommuteAt(const ControlledScenario& scenario,

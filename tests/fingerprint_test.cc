@@ -40,7 +40,8 @@ TEST(FingerprintTest, IndependentOfProcessHistory) {
   ControlledSystem b(scenario, &sched_b);
   for (int step = 0; step < 12; ++step) {
     Fp128 fa, fb;
-    ASSERT_EQ(a.HashState(&fa), b.HashState(&fb)) << step;
+    a.HashState(&fa);
+    b.HashState(&fb);
     EXPECT_EQ(fa, fb) << step;
     EXPECT_EQ(a.CanonicalDebugDump(), b.CanonicalDebugDump()) << step;
     if (a.Drained()) break;

@@ -14,6 +14,22 @@ using testing_util::PaperBases;
 using testing_util::PaperView;
 using testing_util::System;
 
+// The view changes only through InstallViewDelta/InstallAbsoluteView,
+// which log every install the consistency checker replays. The compiler
+// enforces it: view_ is private with no friend, so no algorithm subclass
+// can name it. The probe asks from a subclass's scope; naming a
+// protected member is its control, so the first assert is not vacuous.
+template <class W>
+struct ViewAccessProbe : W {
+  static constexpr bool kNamesView = requires(ViewAccessProbe& p) { p.view_; };
+  static constexpr bool kNamesProtected =
+      requires(ViewAccessProbe& p) { p.site_id(); };
+};
+static_assert(!ViewAccessProbe<Warehouse>::kNamesView,
+              "an algorithm subclass can name Warehouse::view_ and bypass "
+              "the install log");
+static_assert(ViewAccessProbe<Warehouse>::kNamesProtected);
+
 TEST(WarehouseTest, ArrivalLogRecordsDeliveryOrderAndTimes) {
   System sys(Algorithm::kSweep, PaperView(), PaperBases(PaperView()),
              LatencyModel::Fixed(1000));

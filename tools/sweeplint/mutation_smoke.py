@@ -24,18 +24,19 @@ naming the mutated construct:
                     from shard construction;
   taint-inject      append a probe function pairing each nondeterminism
                     source (RNG, wall-clock, thread id, pointer
-                    identity) with each sink (Schedule, fingerprint,
-                    trace, checkpoint write, query-id assignment), both
-                    directly and laundered through a helper's return
-                    value — 40 source-to-sink flows the taint pass must
-                    reconstruct.
+                    identity, and the order of a non-commutative fold
+                    over an unordered container) with each sink
+                    (Schedule, fingerprint, trace, checkpoint write,
+                    query-id assignment), both directly and laundered
+                    through a helper's return value — 50 source-to-sink
+                    flows the taint pass must reconstruct.
 
 --all sweeps every eligible target of every mode (CI); --seed N mutates
 one pseudo-randomly chosen target per mode (the quick local smoke).
 
 Exit 0 when every attempted mutation was caught, 1 otherwise. Under
---all, additionally fails if fewer than 40 mutations target the v2
-checks (determinism-taint + protocol-guard) — the floor the sweep
+--all, additionally fails if fewer than V2_FLOOR mutations target the
+v2 checks (determinism-taint + protocol-guard) — the floor the sweep
 certifies.
 """
 
@@ -72,7 +73,7 @@ ALL_MODES = (
     "taint-inject",
 )
 V2_MODES = ("drop-epoch-guard", "drop-handler", "drop-stride", "taint-inject")
-V2_FLOOR = 40
+V2_FLOOR = 63
 
 _DISPATCH_FILE = "src/core/warehouse.cc"
 _STRIDE_FILE = "src/shard/sharded_scenario.cc"
@@ -84,21 +85,32 @@ _MSG_TO_HANDLER = {msg: h for h, (_, msg) in guards_mod.HANDLERS.items()}
 # the same handler PR 6's explorer implicated dynamically.
 _EPOCH_ANCHOR = {"QueryAnswer": ("PipelinedSweepWarehouse", "src/core/pipelined_sweep.cc")}
 
-# (key, expression, diagnostic fragment) — the expression is only ever
-# parsed by the analyzer, never compiled, so it may lean on names that
-# exist in the host file's scope.
+# (key, statements defining {v}, diagnostic fragment) — the statements
+# are only ever parsed by the analyzer, never compiled, so they may lean
+# on names that exist in the host file's scope.
 _TAINT_SOURCES = (
-    ("rand", "rand()", "unseeded RNG ('rand')"),
+    ("rand", "unsigned long {v} = rand();", "unseeded RNG ('rand')"),
     (
         "clock",
-        "std::chrono::system_clock::now()",
+        "unsigned long {v} = std::chrono::system_clock::now();",
         "wall-clock ('std::chrono::system_clock')",
     ),
-    ("thread", "pthread_self()", "thread identity ('pthread_self')"),
+    (
+        "thread",
+        "unsigned long {v} = pthread_self();",
+        "thread identity ('pthread_self')",
+    ),
     (
         "pointer",
-        "reinterpret_cast<uintptr_t>(sim)",
+        "unsigned long {v} = reinterpret_cast<uintptr_t>(sim);",
         "pointer identity ('reinterpret_cast<uintptr_t>')",
+    ),
+    (
+        "order",
+        "std::unordered_map<unsigned long, long> seen;\n"
+        "  unsigned long {v} = 0;\n"
+        "  for (const auto& entry : seen) {v} = {v} * 31 + entry.first;",
+        "unordered-container iteration order ('seen')",
     ),
 )
 _TAINT_SINKS = (
@@ -111,14 +123,14 @@ _TAINT_SINKS = (
 
 _PROBE_DIRECT = """
 void SweeplintTaintProbe(Simulator* sim, CheckpointWriter* w) {{
-  unsigned long probe_value = {src};
+  {src}
   {sink};
 }}
 """
 
 _PROBE_LAUNDERED = """
 unsigned long SweeplintTaintMix(Simulator* sim) {{
-  unsigned long inner = {src};
+  {src}
   return inner;
 }}
 
@@ -363,14 +375,15 @@ def discover_taint_targets(files: Dict[str, str]) -> List[Target]:
     real in-scope file."""
     host = files.get(_TAINT_HOST, "")
     targets: List[Target] = []
-    for src_key, src_expr, src_desc in _TAINT_SOURCES:
+    for src_key, src_tpl, src_desc in _TAINT_SOURCES:
         for sink_key, sink_tpl, sink_desc in _TAINT_SINKS:
-            for shape, template, var in (
-                ("direct", _PROBE_DIRECT, "probe_value"),
-                ("laundered", _PROBE_LAUNDERED, "outer"),
+            for shape, template, src_var, var in (
+                ("direct", _PROBE_DIRECT, "probe_value", "probe_value"),
+                ("laundered", _PROBE_LAUNDERED, "inner", "outer"),
             ):
                 probe = template.format(
-                    src=src_expr, sink=sink_tpl.format(v=var)
+                    src=src_tpl.format(v=src_var),
+                    sink=sink_tpl.format(v=var),
                 )
                 needles = [src_desc, sink_desc]
                 if shape == "laundered":

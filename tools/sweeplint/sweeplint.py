@@ -1,19 +1,28 @@
 #!/usr/bin/env python3
 """sweeplint — AST-level semantic analyzer for the sweepmv tree.
 
-Where tools/lint_invariants.py pattern-matches lines, sweeplint
-understands declarations: which classes declare a state list, which
-members they have, what a method body references. Declaration-level
-checks (see checks.py for the full statements; the two dataflow checks,
-determinism-taint and protocol-guard, live in taint.py and guards.py and
-are listed by --list-checks):
+sweeplint is the one enforcer of the tree's protocol and determinism
+invariants. It understands declarations: which classes declare a state
+list, which members they have, what a method body references. Checks
+(see checks.py for the full statements; the two dataflow checks,
+determinism-taint and protocol-guard, live in taint.py and guards.py):
 
   state-inventory         every member of a class with a state list
                           (VisitState) is listed in it exactly once
-  unordered-iteration     unordered-container iteration feeding traces,
-                          hashes, serialization or snapshot comparison
   unlabeled-event         Schedule()/ScheduleAt() without an EventLabel
                           in src/sim/ and src/verify/
+  direct-schedule         any Schedule()/ScheduleAt() in src/core/ and
+                          src/source/: messages go through the network
+  unordered-arrival       Channel::UnorderedArrival outside sim/channel.*
+  raw-thread              std::thread/jthread/async outside src/verify/
+  determinism-taint       nondeterministic values and unordered
+                          iteration order reaching replay-visible sinks
+  protocol-guard          epoch guards, send/handle pairing, stride
+                          stamping
+
+Every finding is suppressed the same way, `// sweeplint:allow <check>
+<why>` on its line or the comment block above; an annotation that names
+no check, or suppresses nothing, is itself reported (stale-suppression).
 
 Frontends (--frontend):
   clang   libclang via clang.cindex, driven by compile_commands.json —

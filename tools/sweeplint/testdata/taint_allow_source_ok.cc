@@ -1,6 +1,6 @@
-// determinism-taint, clean: a well-formed unordered-iteration allow on
-// the source loop also silences the taint flows out of it — the taint
-// pass subsumes the syntactic check, one annotation covers both.
+// determinism-taint, clean: a well-formed allow on the source loop
+// silences every taint flow out of it, so one annotation covers all the
+// loop's sinks.
 namespace std {
 template <typename K, typename V>
 struct unordered_map {
@@ -20,7 +20,7 @@ struct Tracer {
 
 struct Collector {
   void Flush() {
-    // sweeplint:allow unordered-iteration debug-only counter dump, the
+    // sweeplint:allow determinism-taint debug-only counter dump, the
     // trace consumer sums the values so order cannot matter
     for (const auto& entry : pending_) {
       tracer_.Trace(entry.second);

@@ -1,7 +1,6 @@
 // determinism-taint, positive: unordered iteration order folded through
 // a non-commutative accumulation and returned by a fingerprint
-// function. (The syntactic unordered-iteration check fires on the loop
-// as well — the two checks layer.)
+// function.
 namespace std {
 template <typename K, typename V>
 struct unordered_map {
