@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import glob
 import json
-import re
 import shlex
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from model import (
-    ALLOW_MARKER,
+    ALLOW_RE as _ALLOW_RE,
     ClassInfo,
     Field,
     Method,
@@ -33,11 +32,6 @@ try:
     import clang.cindex as cindex
 except ImportError:  # pragma: no cover - exercised via available()
     cindex = None
-
-_ALLOW_RE = re.compile(
-    r"(?<![A-Za-z0-9_])" + re.escape(ALLOW_MARKER) + r"\s+(?P<check>[\w-]+)"
-    r"(?P<rationale>[^\n]*)"
-)
 
 _configured = False
 

@@ -24,11 +24,10 @@ function-try-blocks / K&R oddities are unsupported.
 
 from __future__ import annotations
 
-import re
 from typing import Dict, List, Optional, Set, Tuple
 
 from model import (
-    ALLOW_MARKER,
+    ALLOW_RE as _ALLOW_RE,
     ClassInfo,
     Field,
     Method,
@@ -36,11 +35,6 @@ from model import (
 )
 
 Token = Tuple[str, int]  # (spelling, 1-based line)
-
-_ALLOW_RE = re.compile(
-    r"(?<![A-Za-z0-9_])" + re.escape(ALLOW_MARKER) + r"\s+(?P<check>[\w-]+)"
-    r"(?P<rationale>[^\n]*)"
-)
 
 # Multi-character operators the scanner must not split (":: " matters for
 # qualified names, "->" so '>' is not taken for a template close, etc.).
