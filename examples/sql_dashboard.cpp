@@ -106,8 +106,8 @@ int main() {
     std::printf("%s\n", title);
     TablePrinter table({"group", "value"});
     const Relation result = agg.Result();
-    for (const auto* entry : result.SortedEntries()) {
-      const Tuple& t = entry->first;
+    for (const auto& [t, c] : result.SortedEntries()) {
+      (void)c;
       table.AddRow({t.at(0).ToDisplayString(),
                     t.at(1).ToDisplayString()});
     }

@@ -50,7 +50,7 @@ void CheckpointWriter::WriteValue(const Value& v) {
   StoreValue(Grow(CellSize(v)), v);
 }
 
-void CheckpointWriter::WriteTuple(const Tuple& t) {
+void CheckpointWriter::WriteTuple(TupleRef t) {
   size_t size = 8;
   for (const Value& v : t.values()) size += CellSize(v);
   char* out = StoreLe(Grow(size), static_cast<uint64_t>(t.arity()));
@@ -69,9 +69,9 @@ void CheckpointWriter::WriteRelation(const Relation& r) {
   WriteSchema(r.schema());
   const auto entries = r.SortedEntries();
   WriteI64(static_cast<int64_t>(entries.size()));
-  for (const auto* entry : entries) {
-    WriteTuple(entry->first);
-    WriteI64(entry->second);
+  for (const auto& [t, c] : entries) {
+    WriteTuple(t);
+    WriteI64(c);
   }
 }
 

@@ -43,7 +43,7 @@ class CheckpointWriter {
   void WriteString(const std::string& s);
 
   void WriteValue(const Value& v);
-  void WriteTuple(const Tuple& t);
+  void WriteTuple(TupleRef t);
   void WriteSchema(const Schema& s);
   void WriteRelation(const Relation& r);
 

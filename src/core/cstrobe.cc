@@ -48,7 +48,7 @@ void CStrobeWarehouse::MaybeStartNext() {
       if (c > 0) {
         inserts.Add(t, c);
       } else {
-        deletes.push_back(t);
+        deletes.emplace_back(t);
       }
     }
 
@@ -212,8 +212,7 @@ void CStrobeWarehouse::HandleInterference(const Update& update) {
   // observed_deletes_ (both checkpoint-serialized) and the signature
   // widening sequence, so an unordered walk would leak hash-table order
   // into checkpoint bytes and task-spawn order.
-  for (const auto* entry : update.delta.SortedEntries()) {
-    const auto& [t, c] = *entry;
+  for (const auto& [t, c] : update.delta.SortedEntries()) {
     if (c > 0) {
       // Concurrent insert: offset locally at finalize time by deleting
       // the matching tuples from the accumulated answer.

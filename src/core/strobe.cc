@@ -46,7 +46,7 @@ void StrobeWarehouse::ProcessArrivals() {
       if (c > 0) {
         inserts.Add(t, c);
       } else {
-        deletes.push_back(t);
+        deletes.emplace_back(t);
       }
     }
 

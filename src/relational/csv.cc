@@ -145,8 +145,7 @@ CsvParseResult ParseCsv(const Schema& schema, const std::string& text) {
 std::string FormatCsv(const Relation& relation) {
   std::string out = "# schema: " + relation.schema().ToDisplayString() +
                     "\n";
-  for (const auto* entry : relation.SortedEntries()) {
-    const auto& [t, c] = *entry;
+  for (const auto& [t, c] : relation.SortedEntries()) {
     std::vector<std::string> cells;
     for (const Value& v : t.values()) {
       switch (v.type()) {

@@ -29,7 +29,8 @@ PartialDelta ExtendLeft(const ViewDef& view, const Relation& left_rel,
   PartialDelta out;
   out.lo = rel_index;
   out.hi = pd.hi;
-  out.rel = Join(left_rel, pd.rel, view.ExtendLeftKeys(rel_index));
+  out.rel = Join(left_rel, pd.rel, view.LeftExtension(rel_index),
+                 view.span_schema(out.lo, out.hi));
   return out;
 }
 
@@ -41,7 +42,8 @@ PartialDelta ExtendRight(const ViewDef& view, const PartialDelta& pd,
   PartialDelta out;
   out.lo = pd.lo;
   out.hi = rel_index;
-  out.rel = Join(pd.rel, right_rel, view.ExtendRightKeys(pd.lo, rel_index));
+  out.rel = Join(pd.rel, right_rel, view.RightExtension(pd.lo, rel_index),
+                 view.span_schema(out.lo, out.hi));
   return out;
 }
 

@@ -37,7 +37,7 @@ Operand Operand::Const(Value v) {
   return o;
 }
 
-const Value& Operand::Resolve(const Tuple& t) const {
+const Value& Operand::Resolve(TupleRef t) const {
   if (is_attr_) return t.at(static_cast<size_t>(attr_));
   return constant_;
 }
@@ -59,7 +59,7 @@ struct Predicate::Node {
   std::shared_ptr<const Node> left;
   std::shared_ptr<const Node> right;
 
-  bool Eval(const Tuple& t) const {
+  bool Eval(TupleRef t) const {
     switch (kind) {
       case Kind::kTrue:
         return true;
@@ -164,7 +164,7 @@ Predicate Predicate::AttrCmpConst(int a, CmpOp op, Value v) {
   return Compare(Operand::Attr(a), op, Operand::Const(std::move(v)));
 }
 
-bool Predicate::Eval(const Tuple& t) const { return node_->Eval(t); }
+bool Predicate::Eval(TupleRef t) const { return node_->Eval(t); }
 
 bool Predicate::IsTrueLiteral() const {
   return node_->kind == Node::Kind::kTrue;

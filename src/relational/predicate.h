@@ -31,7 +31,7 @@ class Operand {
   const Value& constant() const { return constant_; }
 
   // Resolves the operand against a tuple.
-  const Value& Resolve(const Tuple& t) const;
+  const Value& Resolve(TupleRef t) const;
 
   std::string ToDisplayString() const;
 
@@ -63,7 +63,7 @@ class Predicate {
   // different types evaluate to false for kEq (true for kNe) and use the
   // type-tag order for inequalities; schemas are normally type-checked
   // upstream so this is a safety net, not a feature.
-  bool Eval(const Tuple& t) const;
+  bool Eval(TupleRef t) const;
 
   bool IsTrueLiteral() const;
 

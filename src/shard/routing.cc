@@ -28,7 +28,7 @@ std::vector<int> JoinKeyPositions(const ViewDef& view, int rel) {
 }
 
 uint64_t RoutingHashTuple(const std::vector<int>& key_positions,
-                          const Tuple& tuple) {
+                          TupleRef tuple) {
   // FNV-style combine over the selected values (mirrors
   // Tuple::ComputeHash) without materializing the projection.
   uint64_t h = 0xcbf29ce484222325ull;

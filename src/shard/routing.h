@@ -46,7 +46,7 @@ std::vector<int> JoinKeyPositions(const ViewDef& view, int rel);
 // (over every value when empty), finalized for avalanche so taking it
 // mod a small shard count is well distributed. Allocation-free.
 uint64_t RoutingHashTuple(const std::vector<int>& key_positions,
-                          const Tuple& tuple);
+                          TupleRef tuple);
 
 // Routing hash of an update: the minimum of RoutingHashTuple over its
 // delta's tuples (~0 for an empty delta, which sources never ship).

@@ -9,13 +9,16 @@
 // each insert/delete touches each index O(1) amortized, so a probe-side
 // query costs O(|Δ| · matches) instead of O(|R|).
 //
-// Invariants (tested in tests/indexed_relation_test.cc):
+// Invariants (tested in tests/indexed_relation_test.cc; I2 also after
+// every step of random sequences in tests/relation_table_test.cc):
 //   I1  relation() is bit-identical to a Relation that received the same
 //       Add/Merge sequence — indexes never change query *results*.
 //   I2  for every maintained index and every stored tuple t with nonzero
 //       count, the index bucket of t's key projection contains exactly the
-//       relation entries whose projection equals that key (no more, no
-//       fewer, no stale pointers).
+//       ids of the relation rows whose projection equals that key (no
+//       more, no fewer, no stale ids). The relation erases a row by moving
+//       its last row into the hole; every such move is forwarded to every
+//       index, which renumbers the moved row.
 //   I3  indexes are a pure cache: RebuildIndexes() from relation() (the
 //       crash-recovery path — indexes are volatile, the relation and the
 //       StateLog are the durable store) restores exactly the same buckets.
@@ -63,7 +66,7 @@ class IndexedRelation {
 
   // Mutations. All indexes are kept consistent in O(1) amortized per
   // distinct tuple touched.
-  void Add(const Tuple& t, int64_t count = 1);
+  void Add(TupleRef t, int64_t count = 1);
   void Merge(const Relation& delta);
 
   // Crash recovery: indexes are volatile, the relation is durable. Drops
@@ -84,8 +87,8 @@ class IndexedRelation {
 
  private:
   Relation rel_;
-  // unique_ptr: HashIndex buckets hold pointers into rel_'s map, and the
-  // vector may reallocate while indexes are being added.
+  // unique_ptr: FindIndex hands out pointers that a later EnsureIndex,
+  // which may reallocate the vector, must not invalidate.
   std::vector<std::unique_ptr<HashIndex>> indexes_;
   int64_t index_builds_ = 0;
 };

@@ -23,9 +23,8 @@ std::vector<ScheduledTxn> GenerateWorkload(
   // in schedule order, so sequential simulation here is faithful).
   std::vector<std::vector<Tuple>> present(initial_bases.size());
   for (size_t r = 0; r < initial_bases.size(); ++r) {
-    for (const auto* entry : initial_bases[r].SortedEntries()) {
-      const auto& [t, c] = *entry;
-      for (int64_t i = 0; i < c; ++i) present[r].push_back(t);
+    for (const auto& [t, c] : initial_bases[r].SortedEntries()) {
+      for (int64_t i = 0; i < c; ++i) present[r].emplace_back(t);
     }
   }
   int64_t next_key = FirstFreshKey(chain);

@@ -120,7 +120,7 @@ TEST_P(AlgebraProperty, IncrementalDeltaEqualsRecomputation) {
   auto existing = bases[static_cast<size_t>(i)].SortedEntries();
   delta.Add(existing[static_cast<size_t>(rng.Uniform(
                 0, static_cast<int64_t>(existing.size()) - 1))]
-                ->first,
+                .first,
             -1);
 
   // Recomputation route.

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
@@ -31,15 +32,18 @@ void ExpectIndexConsistent(const IndexedRelation& store,
   for (const auto& [t, c] : store.relation().entries()) {
     const HashIndex::Bucket* bucket = index->Probe(t.Project(key));
     ASSERT_NE(bucket, nullptr) << "no bucket for " << t.ToDisplayString();
-    const HashIndex::Entry* entry = store.relation().FindEntry(t);
-    EXPECT_TRUE(bucket->count(entry) == 1)
+    const uint32_t entry = store.relation().FindRow(t);
+    EXPECT_TRUE(std::count(bucket->begin(), bucket->end(), entry) == 1)
         << t.ToDisplayString() << " missing from its bucket";
   }
   // No stale entries: every bucket member must be a live relation entry.
   for (const auto& [t, c] : store.relation().entries()) {
     const HashIndex::Bucket* bucket = index->Probe(t.Project(key));
-    for (const HashIndex::Entry* entry : *bucket) {
-      EXPECT_EQ(store.relation().CountOf(entry->first), entry->second);
+    for (const uint32_t entry : *bucket) {
+      ASSERT_LT(entry, store.relation().DistinctSize());
+      EXPECT_EQ(store.relation().row(entry).Project(key), t.Project(key));
+      EXPECT_EQ(store.relation().CountOf(store.relation().row(entry)),
+                store.relation().count(entry));
       entries_in_buckets += 1;
     }
   }

@@ -111,8 +111,8 @@ TEST(RelationTest, SortedEntriesDeterministic) {
   Relation r = Relation::OfInts(TwoInts(), {{3, 1}, {1, 1}, {2, 1}});
   auto entries = r.SortedEntries();
   ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0]->first, IntTuple({1, 1}));
-  EXPECT_EQ(entries[2]->first, IntTuple({3, 1}));
+  EXPECT_EQ(entries[0].first, IntTuple({1, 1}));
+  EXPECT_EQ(entries[2].first, IntTuple({3, 1}));
 }
 
 TEST(RelationTest, DisplayStringMatchesPaperStyle) {

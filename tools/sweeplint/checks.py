@@ -58,6 +58,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from model import (
     STATE_LIST_METHOD,
     Diagnostic,
+    Field,
     Method,
     Model,
     sort_diagnostics,
@@ -261,11 +262,13 @@ def check_raw_thread(
     model: Model, scope: Optional[Tuple[str, ...]]
 ) -> List[Diagnostic]:
     # (file, line) -> the facility named there, from body lines, return
-    # types and member types.
+    # and parameter types, member types and namespace-scope variables.
     found: Dict[Tuple[str, int], str] = {}
+    decls: List[Field] = list(model.globals)
     for body in model.bodies:
         if not _in_check(CHECK_RAW_THREAD, body.file, scope):
             continue
+        decls.extend(body.param_decls)
         lines: Dict[int, List[str]] = {body.line: [body.return_type]}
         for t, line in body.tokens:
             lines.setdefault(line, []).append(t)
@@ -274,10 +277,11 @@ def check_raw_thread(
             if name:
                 found.setdefault((body.file, line), name)
     for cls_name in sorted(model.classes):
-        for field in model.classes[cls_name].fields.values():
-            name = _thread_in(model, field.type_text)
-            if name and _in_check(CHECK_RAW_THREAD, field.file, scope):
-                found.setdefault((field.file, field.line), name)
+        decls.extend(model.classes[cls_name].fields.values())
+    for decl in decls:
+        name = _thread_in(model, decl.type_text)
+        if name and _in_check(CHECK_RAW_THREAD, decl.file, scope):
+            found.setdefault((decl.file, decl.line), name)
     diags: List[Diagnostic] = []
     for (file, line), name in sorted(found.items()):
         _report(

@@ -209,6 +209,16 @@ class _TUWalker:
                 cindex.CursorKind.TYPEDEF_DECL,
             ):
                 self._record_alias(child)
+                continue
+            if kind == cindex.CursorKind.VAR_DECL and not class_stack:
+                rel = self._rel(child)
+                if rel is not None:
+                    self.model.globals.append(Field(
+                        name=child.spelling,
+                        type_text=child.type.spelling,
+                        file=rel,
+                        line=child.location.line,
+                    ))
 
     def _record_alias(self, cursor) -> None:
         if self._rel(cursor) is None:
@@ -302,6 +312,15 @@ class _TUWalker:
             return_type=cursor.result_type.spelling,
             tokens=_tokens_of(body),
             params=[arg.spelling or "" for arg in cursor.get_arguments()],
+            param_decls=[
+                Field(
+                    name=arg.spelling or "",
+                    type_text=arg.type.spelling,
+                    file=rel,
+                    line=arg.location.line,
+                )
+                for arg in cursor.get_arguments()
+            ],
         )
         self.model.bodies.append(method)
         cls = self.model.classes.get(class_name)

@@ -68,6 +68,9 @@ class Method:
     # Parameter names in declaration order ("" for unnamed parameters).
     # The taint pass keys its interprocedural summaries on these.
     params: List[str] = dataclasses.field(default_factory=list)
+    # The same parameters with their type text and line (raw-thread
+    # reads the types).
+    param_decls: List["Field"] = dataclasses.field(default_factory=list)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,8 +158,11 @@ class Model:
     )
     # Type-alias name -> underlying type text (`using X = ...;` and
     # `typedef ... X;`), first writer wins in sorted-file order. Lets the
-    # unordered-container predicate see through e.g. Relation::CountMap.
+    # unordered-container predicate see through an alias of one.
     aliases: Dict[str, str] = dataclasses.field(default_factory=dict)
+    # Namespace-scope variables, in file order (raw-thread reads their
+    # types).
+    globals: List[Field] = dataclasses.field(default_factory=list)
     # (file, line) of every suppression comment a finding looked up during
     # the current run_checks(); the rest are stale.
     used_allows: Set[Tuple[str, int]] = dataclasses.field(

@@ -535,7 +535,7 @@ class _BodyScan:
             return text
         if expr and expr[-1][0] == ")":
             # Trailing call: resolve the callee's declared return type
-            # (e.g. `update.delta.entries()` -> `const CountMap &`).
+            # (e.g. `update.delta.entries()` -> `RowRange`).
             depth = 0
             for i in range(len(expr) - 1, -1, -1):
                 t = expr[i][0]

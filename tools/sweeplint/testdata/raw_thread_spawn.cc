@@ -1,5 +1,5 @@
-// raw-thread, positive: a real thread outside src/verify/, spawned in a
-// body and held as a member, directly and through a type alias.
+// raw-thread, positive: a real thread outside src/verify/ in a body, a
+// member (also via an alias), a parameter and a namespace-scope variable.
 namespace std {
 struct thread {
   template <typename F>
@@ -20,3 +20,8 @@ struct Pump {
   std::thread worker_;
   std::vector<Worker> pool_;
 };
+
+void Adopt(int id, std::thread worker) { worker.join(); }
+
+std::thread background;
+int ticks = 0;

@@ -16,14 +16,18 @@ from model import MIN_RATIONALE_LEN, Diagnostic, Model, find_allow
 
 Token = Tuple[str, int]
 
-UNORDERED_MARKERS = ("unordered_map", "unordered_set")
+# Types whose iteration order is an artifact of hashing or history:
+# std's unordered containers, and Relation::RowRange, the range
+# Relation::entries() returns, which walks rows in insertion order with
+# each erase moving the last row into the hole.
+UNORDERED_MARKERS = ("unordered_map", "unordered_set", "RowRange")
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def with_aliases(model: Model, type_text: str) -> List[str]:
     """The type text, then the recorded alias target of each word in it
-    (one level, e.g. Relation::CountMap -> std::unordered_map<...>)."""
+    (one level, e.g. `using Counts = std::unordered_map<...>`)."""
     return [type_text] + [
         model.aliases.get(word, "") for word in _WORD.findall(type_text)
     ]
