@@ -186,7 +186,7 @@ class Relation {
   uint32_t FindRow(TupleRef t) const;
 
   // The entries in Tuple::operator< order: the one deterministic walk
-  // (checkpoint codec, fingerprint, display, CSV). The tuples view this
+  // (checkpoint codec, fingerprint, display). The tuples view this
   // relation and stay valid until it is next mutated, so a temporary
   // relation cannot be walked.
   std::vector<Entry> SortedEntries() const&;

@@ -43,9 +43,9 @@ struct InternedString {
 };
 
 // Returns the canonical buffer for `text`: one per distinct text, kept
-// until the process exits. Strings enter at run time only through the CSV
-// loader, SQL constants and checkpoint reads, so the pool is bounded by the
-// distinct texts a process loads. Thread-safe.
+// until the process exits. Strings enter at run time only through SQL
+// constants and checkpoint reads, so the pool is bounded by the distinct
+// texts a process loads. Thread-safe.
 const InternedString* InternString(std::string text);
 
 // Immutable scalar cell. Comparison across different types is defined (by

@@ -7,8 +7,6 @@
 
 namespace sweepmv {
 
-namespace {
-
 ViewDef PaperView() {
   return ViewDef::Builder()
       .AddRelation("R1", Schema::AllInts({"A", "B"}))
@@ -27,8 +25,6 @@ std::vector<Relation> PaperBases(const ViewDef& view) {
       Relation::OfInts(view.rel_schema(2), {{5, 6}, {7, 8}}),
   };
 }
-
-}  // namespace
 
 ControlledScenario PaperExampleScenario(Algorithm algorithm) {
   ViewDef view = PaperView();

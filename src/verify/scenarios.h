@@ -12,9 +12,18 @@
 #ifndef SWEEPMV_VERIFY_SCENARIOS_H_
 #define SWEEPMV_VERIFY_SCENARIOS_H_
 
+#include <vector>
+
 #include "verify/controlled_run.h"
 
 namespace sweepmv {
+
+// The paper's view, V = Π[D,F] (R1[A,B] ⋈(B=C) R2[C,D] ⋈(D=E) R3[E,F]).
+ViewDef PaperView();
+
+// Figure 5's initial bases of `view` (PaperView()): R1 = {(1,3), (2,3)},
+// R2 = {(3,7)}, R3 = {(5,6), (7,8)}.
+std::vector<Relation> PaperBases(const ViewDef& view);
 
 // V = Π[D,F] (R1[A,B] ⋈(B=C) R2[C,D] ⋈(D=E) R3[E,F]) with Figure 5's
 // initial bases and the three concurrent updates of Section 5.2 (insert

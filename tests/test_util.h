@@ -13,30 +13,14 @@
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "source/data_source.h"
+#include "verify/scenarios.h"
 
 namespace sweepmv {
 namespace testing_util {
 
-// V = Π[D,F] (R1[A,B] ⋈(B=C) R2[C,D] ⋈(D=E) R3[E,F]) — the paper's view.
-inline ViewDef PaperView() {
-  return ViewDef::Builder()
-      .AddRelation("R1", Schema::AllInts({"A", "B"}))
-      .AddRelation("R2", Schema::AllInts({"C", "D"}))
-      .AddRelation("R3", Schema::AllInts({"E", "F"}))
-      .JoinOn(0, 1, 0)
-      .JoinOn(1, 1, 0)
-      .Project({3, 5})
-      .Build();
-}
-
-// Figure 5's initial configuration.
-inline std::vector<Relation> PaperBases(const ViewDef& view) {
-  return {
-      Relation::OfInts(view.rel_schema(0), {{1, 3}, {2, 3}}),
-      Relation::OfInts(view.rel_schema(1), {{3, 7}}),
-      Relation::OfInts(view.rel_schema(2), {{5, 6}, {7, 8}}),
-  };
-}
+// The paper's view and Figure 5's initial bases.
+using ::sweepmv::PaperBases;
+using ::sweepmv::PaperView;
 
 // A fully wired distributed system under test. Sources sit at site ids
 // 1..n (ECA's single source, hosting the whole chain, at 1), the

@@ -2,21 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "verify/scenarios.h"
+
 namespace sweepmv {
 namespace {
-
-// The paper's Section 5.2 view:
-//   V = Π[D,F] (R1[A,B] ⋈(B=C) R2[C,D] ⋈(D=E) R3[E,F])
-ViewDef PaperView() {
-  return ViewDef::Builder()
-      .AddRelation("R1", Schema::AllInts({"A", "B"}))
-      .AddRelation("R2", Schema::AllInts({"C", "D"}))
-      .AddRelation("R3", Schema::AllInts({"E", "F"}))
-      .JoinOn(0, 1, 0)
-      .JoinOn(1, 1, 0)
-      .Project({3, 5})
-      .Build();
-}
 
 TEST(ViewDefTest, BasicShape) {
   ViewDef v = PaperView();
