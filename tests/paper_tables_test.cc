@@ -2,13 +2,7 @@
 // bench/paper_tables.h. Each pins every header and cell the paper_tables
 // binary prints, and requires the artifact to report no failure: no run
 // behind any of its tables diverged from ground truth, and no measured
-// number breaks the claim it reproduces. The claims are SWEEP's exact 2(n-1) messages per update
-// (E1-E3), Table 1's consistency column (T1), C-Strobe's compensating
-// queries never falling as K grows (E2), ECA's constant message count
-// and growing query size (E3), Strobe's and ECA's quiescence (E4),
-// compensation as what keeps SWEEP consistent (A1), Nested SWEEP's
-// consistency at every depth budget (E5) and pipelining's falling
-// staleness (A2).
+// number breaks the claim it reproduces (EXPERIMENTS.md lists them).
 
 #include "bench/paper_tables.h"
 
